@@ -9,6 +9,7 @@ significant, so a codomain vector lists the values for 000, 001, ..., 111.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -43,9 +44,18 @@ def project(solution: Bits, scope: Sequence[int]) -> int:
     return idx
 
 
-def config_bits(index: int, width: int) -> tuple[int, ...]:
-    """Inverse of project for a single scope: unpack an index into bits."""
-    return tuple((index >> (width - 1 - j)) & 1 for j in range(width))
+def collapse(values: Sequence[float], src: Sequence[int], dst: Sequence[int]) -> np.ndarray:
+    """Sum a flat table over the ordered variables src onto the ordered subset dst.
+
+    Both tables index configurations as project() does. Entries are added in
+    input order, so the sums are the same as a per-configuration loop's.
+    """
+    width = len(src)
+    configs = np.arange(1 << width)
+    idx = np.zeros(1 << width, dtype=np.int64)
+    for v in dst:
+        idx = (idx << 1) | ((configs >> (width - 1 - src.index(v))) & 1)
+    return np.bincount(idx, weights=values, minlength=1 << len(dst))
 
 
 def config_string(index: int, width: int) -> str:
@@ -69,6 +79,8 @@ class Subfunction:
                 f"codomain has {len(self.codomain)} entries, expected {1 << len(self.scope)}"
                 f" for scope of size {len(self.scope)}"
             )
+        if not all(map(math.isfinite, self.codomain)):
+            raise StructuralError("codomain values must be finite")
 
     @property
     def k(self) -> int:
@@ -388,9 +400,6 @@ def _parse_text(text: str) -> AdfInstance:
                 values = tuple(float(v) for v in fields[2 + k :])
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed number") from None
-            for v in scope:
-                if not 0 <= v < n:
-                    raise ParseError(f"line {lineno}: scope index {v} out of range for n={n}")
             try:
                 subs.append(Subfunction(scope, values))
             except StructuralError as exc:
@@ -420,9 +429,6 @@ def _parse_json(text: str) -> AdfInstance:
         for i, entry in enumerate(doc["subfunctions"]):
             scope = tuple(int(v) for v in entry["scope"])
             values = tuple(float(v) for v in entry["codomain"])
-            for v in scope:
-                if not 0 <= v < n:
-                    raise ParseError(f"subfunction {i}: scope index {v} out of range for n={n}")
             try:
                 subs.append(Subfunction(scope, values))
             except StructuralError as exc:
@@ -430,6 +436,8 @@ def _parse_json(text: str) -> AdfInstance:
         return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=str(doc.get("name", "")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed instance document: {exc}") from None
+    except StructuralError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def bits_from_string(text: str) -> tuple[int, ...]:

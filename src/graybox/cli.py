@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adf, climb as climb_mod, fda as fda_mod, graphs, marginals, replicate
-from .errors import ConfigError, GrayboxError
+from .errors import ConfigError, GrayboxError, ParseError
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -48,7 +48,9 @@ def _parse_scopes(spec: str) -> list[tuple[int, ...]]:
 def _scope_list(args, instance: adf.AdfInstance) -> list[tuple[int, ...]]:
     if args.scopes:
         return _parse_scopes(args.scopes)
-    if args.order:
+    if args.order is not None:
+        if args.order < 1:
+            raise ConfigError(f"--order must be at least 1, got {args.order}")
         return replicate.order_scopes(instance, args.order)
     return replicate.jt_scopes(instance)[1]
 
@@ -164,7 +166,10 @@ def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
     if args.univariate:
         return graphs.univariate_factorization(instance.n)
     if args.factor_file:
-        doc = json.loads(Path(args.factor_file).read_text())
+        try:
+            doc = json.loads(Path(args.factor_file).read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.factor_file}: invalid JSON: {exc}") from None
         return graphs.factorization_from_json(doc)
     jt = graphs.junction_tree(graphs.triangulate(graphs.build_vig(instance), args.heuristic))
     return graphs.factorization_from_jt(jt, root=args.root)
@@ -292,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scope_source(p):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--scopes", help="semicolon-separated scopes, e.g. '1,2,3;2,3,4'")
-        src.add_argument("--order", type=int, help="cyclic windows of this size")
+        src.add_argument("--order", type=int,
+                         help="per subfunction, this many (>= 1) consecutive variables from "
+                              "one before its first scope variable, wrapping cyclically")
         src.add_argument("--jt-factors", action="store_true",
                          help="min-fill junction-tree cliques")
 
@@ -368,10 +375,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GrayboxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (GrayboxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, bits_to_string
+from .adf import AdfInstance, Bits, bits_to_string, collapse
 from .errors import ConfigError, StructuralError
 from .graphs import Factorization
 
@@ -264,19 +264,6 @@ def model_probability(
     return p
 
 
-def _collapse(values: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
-    """Marginalize a flat table over ordered variables src onto ordered dst."""
-    positions = [src.index(v) for v in dst]
-    out = np.zeros(1 << len(dst))
-    width = len(src)
-    for cfg in range(len(values)):
-        sub = 0
-        for p in positions:
-            sub = (sub << 1) | ((cfg >> (width - 1 - p)) & 1)
-        out[sub] += values[cfg]
-    return out
-
-
 def _row_entropy(row: np.ndarray) -> float:
     nz = row[row > 0]
     return float(-(nz * np.log2(nz)).sum())
@@ -306,7 +293,7 @@ def model_entropy(factorization: Factorization, params: FactorParams) -> float:
                     f"factor {i} conditioning set {f.cond} spans multiple factors; "
                     "entropy needs junction-tree-shaped factorizations"
                 )
-            weights = _collapse(joints[cover], scopes[cover], f.cond)
+            weights = collapse(joints[cover], scopes[cover], f.cond)
         entropy += float(sum(w * _row_entropy(table[c]) for c, w in enumerate(weights) if w > 0))
         joint = (weights[:, None] * table).reshape(-1)
         scopes.append(f.cond + f.new)

@@ -47,9 +47,6 @@ class InteractionGraph:
             adj[v].add(u)
         return adj
 
-    def neighbors(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
 
 @dataclass(frozen=True)
 class FactorGraph:
@@ -104,22 +101,58 @@ class ChordalCompletion:
         return InteractionGraph(self.base.n, frozenset(self.base.edges | self.fill_edges))
 
 
-def elimination_fill(graph: InteractionGraph, order: Sequence[int]) -> set[tuple[int, int]]:
-    """Fill edges produced by eliminating vertices in the given order."""
-    if sorted(order) != list(range(graph.n)):
-        raise StructuralError("elimination order must be a permutation of the vertices")
+def _eliminate(graph: InteractionGraph, pick) -> tuple[tuple[int, ...], set, list[frozenset]]:
+    """Eliminate every vertex, each time the one pick(adj, remaining) names,
+    and connect its remaining neighbours.
+
+    Returns the elimination order, the fill edges added and the elimination
+    clique of each vertex (itself plus its remaining neighbours).
+    """
     adj = graph.adjacency()
-    alive = [True] * graph.n
+    remaining = set(range(graph.n))
+    order = []
     fill = set()
-    for v in order:
-        nbrs = sorted(u for u in adj[v] if alive[u])
+    cliques = []
+    while remaining:
+        v = pick(adj, remaining)
+        order.append(v)
+        remaining.discard(v)
+        nbrs = sorted(adj[v] & remaining)
         for u, w in combinations(nbrs, 2):
             if w not in adj[u]:
                 fill.add(_edge(u, w))
                 adj[u].add(w)
                 adj[w].add(u)
-        alive[v] = False
-    return fill
+        cliques.append(frozenset([v, *nbrs]))
+    return tuple(order), fill, cliques
+
+
+def _in_order(n: int, order: Sequence[int]):
+    """A pick for _eliminate that replays a given permutation of the vertices."""
+    if sorted(order) != list(range(n)):
+        raise StructuralError("elimination order must be a permutation of the vertices")
+    it = iter(order)
+    return lambda adj, remaining: next(it)
+
+
+def _min_fill(adj: list[set[int]], remaining: set[int]) -> int:
+    def fill_count(v: int) -> int:
+        nbrs = [u for u in adj[v] if u in remaining]
+        return sum(1 for u, w in combinations(nbrs, 2) if w not in adj[u])
+
+    return min(remaining, key=lambda u: (fill_count(u), u))
+
+
+def _min_degree(adj: list[set[int]], remaining: set[int]) -> int:
+    return min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+
+
+_HEURISTICS = {MIN_FILL: _min_fill, MIN_DEGREE: _min_degree}
+
+
+def elimination_fill(graph: InteractionGraph, order: Sequence[int]) -> set[tuple[int, int]]:
+    """Fill edges produced by eliminating vertices in the given order."""
+    return _eliminate(graph, _in_order(graph.n, order))[1]
 
 
 def triangulate(
@@ -131,35 +164,13 @@ def triangulate(
     is deterministic for a given heuristic.
     """
     if not isinstance(heuristic, str):
-        order = tuple(heuristic)
-        fill = elimination_fill(graph, order)
-        return ChordalCompletion(graph, frozenset(fill), order)
-    if heuristic not in (MIN_FILL, MIN_DEGREE):
+        pick = _in_order(graph.n, tuple(heuristic))
+    elif heuristic in _HEURISTICS:
+        pick = _HEURISTICS[heuristic]
+    else:
         raise StructuralError(f"unknown triangulation heuristic {heuristic!r}")
-
-    adj = graph.adjacency()
-    remaining = set(range(graph.n))
-    order = []
-    fill = set()
-
-    def fill_count(v: int) -> int:
-        nbrs = [u for u in adj[v] if u in remaining]
-        return sum(1 for u, w in combinations(nbrs, 2) if w not in adj[u])
-
-    while remaining:
-        if heuristic == MIN_FILL:
-            v = min(remaining, key=lambda u: (fill_count(u), u))
-        else:
-            v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
-        order.append(v)
-        remaining.discard(v)
-        nbrs = sorted(u for u in adj[v] if u in remaining)
-        for u, w in combinations(nbrs, 2):
-            if w not in adj[u]:
-                fill.add(_edge(u, w))
-                adj[u].add(w)
-                adj[w].add(u)
-    return ChordalCompletion(graph, frozenset(fill), tuple(order))
+    order, fill, _ = _eliminate(graph, pick)
+    return ChordalCompletion(graph, frozenset(fill), order)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +204,11 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     on the completed graph would still need fill (i.e. it is not chordal).
     """
     full = completion.completed()
-    adj = full.adjacency()
-    alive = [True] * full.n
-    elim_cliques = []
-    for v in completion.elimination_order:
-        nbrs = [u for u in adj[v] if alive[u]]
-        for u, w in combinations(nbrs, 2):
-            if w not in adj[u]:
-                raise StructuralError(
-                    f"graph is not chordal along the elimination order: "
-                    f"missing edge ({min(u, w)},{max(u, w)}) while eliminating {v}"
-                )
-        elim_cliques.append(frozenset([v, *nbrs]))
-        alive[v] = False
+    _, fill, elim_cliques = _eliminate(full, _in_order(full.n, completion.elimination_order))
+    if fill:
+        raise StructuralError(
+            f"graph is not chordal along the elimination order: missing edges {sorted(fill)}"
+        )
 
     maximal = [c for c in elim_cliques if not any(c < d for d in elim_cliques)]
     cliques = sorted(set(tuple(sorted(c)) for c in maximal))

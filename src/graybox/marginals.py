@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, config_string, project
-from .errors import CapacityError, StructuralError
+from .adf import AdfInstance, Bits, collapse, config_string, project
+from .errors import CapacityError, ConfigError, StructuralError
 
 STAT_SUM = "sum"
 STAT_MEAN = "mean"
@@ -32,7 +32,11 @@ _CHUNK_BITS = 16
 def enumeration_limit(limit: int | None = None) -> int:
     if limit is not None:
         return limit
-    return int(os.environ.get(ENUM_LIMIT_ENV, DEFAULT_ENUM_LIMIT))
+    value = os.environ.get(ENUM_LIMIT_ENV, str(DEFAULT_ENUM_LIMIT))
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{ENUM_LIMIT_ENV} must be an integer, got {value!r}") from None
 
 
 def _check_capacity(n: int, limit: int | None) -> None:
@@ -171,19 +175,11 @@ def marginalize_table(table: MarginalTable, subscope: Sequence[int]) -> Marginal
     if table.kind == STAT_MEAN:
         raise StructuralError("mean tables do not marginalize additively")
     subscope = tuple(int(v) for v in subscope)
-    positions = []
     for v in subscope:
         if v not in table.scope:
             raise StructuralError(f"variable {v} not in table scope {table.scope}")
-        positions.append(table.scope.index(v))
-    j, js = len(table.scope), len(subscope)
-    out = [0.0] * (1 << js)
-    for cfg, value in enumerate(table.values):
-        sub_cfg = 0
-        for p in positions:
-            sub_cfg = (sub_cfg << 1) | ((cfg >> (j - 1 - p)) & 1)
-        out[sub_cfg] += value
-    return MarginalTable(scope=subscope, kind=table.kind, values=tuple(out), n=table.n, beta=table.beta)
+    values = tuple(collapse(table.values, table.scope, subscope))
+    return MarginalTable(scope=subscope, kind=table.kind, values=values, n=table.n, beta=table.beta)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .marginals import (
     DeceptionReport,
     MarginalTable,
     STAT_SUM,
+    _format_value,
     deception_report,
     deception_to_json,
     enumerate_marginal,
@@ -111,12 +112,8 @@ def _compare(name: str, tables: list[MarginalTable], mismatches: list[str]) -> N
             if value != expected:
                 mismatches.append(
                     f"{name}: factor ({key}) config {cfg_str}: expected {expected}, got "
-                    f"{_fmt(value)}"
+                    f"{_format_value(value)}"
                 )
-
-
-def _fmt(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(v)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Core instance type: projection, evaluation, generators, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,11 @@ class TestTypes:
     def test_scope_out_of_range(self):
         with pytest.raises(StructuralError):
             make_instance(3, [(0, 3)], [(0, 0, 0, 0)])
+
+    def test_non_finite_codomain(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(StructuralError, match="finite"):
+                Subfunction((0,), (0.0, bad))
 
     def test_k_max(self):
         inst = make_instance(4, [(0,), (1, 2, 3)], [(0, 1), (0,) * 8])
@@ -243,6 +250,18 @@ class TestSerialization:
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             parse('{"n": 2, "subfunctions": [{"scope": [0, 5], "codomain": [1, 2, 3, 4]}]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "adf 2 1\nsub 2 0 1 nan 1 inf 0\n",
+            '{"n": 2, "subfunctions": [{"scope": [0, 1], "codomain": [NaN, 1, Infinity, 0]}]}',
+        ],
+        ids=["text", "json"],
+    )
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ParseError, match="finite"):
+            parse(text)
 
     def test_bits_from_string(self):
         assert bits_from_string("0101") == (0, 1, 0, 1)

@@ -1,13 +1,16 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from graybox import adf, replicate
 from graybox.cli import main
+from graybox.marginals import enumerate_marginal
 
 
 @pytest.fixture()
@@ -135,6 +138,15 @@ class TestMarginalsAndDeception:
         assert code == 1
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("command", ["marginals", "deception"])
+    def test_order_below_one_exits_2(self, capsys, paper_file, command):
+        args = ["--optimum", "1111111111"] if command == "deception" else []
+        for order in ("0", "-1"):
+            code, out, err = run_cli(capsys, command, paper_file, "--order", order, *args)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "--order" in err
+
     def test_boltzmann_stat_needs_beta(self, capsys, paper_file):
         code, _, err = run_cli(
             capsys, "marginals", paper_file, "--order", "3", "--stat", "boltzmann"
@@ -150,6 +162,32 @@ class TestMarginalsAndDeception:
         doc = json.loads(out)
         assert code == 0
         assert sum(doc[0]["values"].values()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBadInput:
+    def assert_error(self, capsys, code, argv):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_instance_path_is_directory(self, capsys, tmp_path):
+        self.assert_error(capsys, 1, ["analyze", str(tmp_path), "--treewidth"])
+
+    def test_malformed_factor_file(self, capsys, paper_file, tmp_path):
+        bad = tmp_path / "factors.json"
+        bad.write_text("{bad")
+        self.assert_error(capsys, 1, ["fda", paper_file, "--factor-file", str(bad)])
+
+    def test_non_integer_enumeration_limit(self, capsys, paper_file, monkeypatch):
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "abc")
+        self.assert_error(capsys, 2, ["marginals", paper_file, "--order", "3"])
+
+    def test_non_finite_codomain(self, capsys, tmp_path):
+        path = tmp_path / "nan.adf"
+        path.write_text("adf 2 1\nsub 2 0 1 nan 1 inf 0\n")
+        self.assert_error(capsys, 1, ["climb", str(path), "--start", "00"])
 
 
 class TestFda:
@@ -262,6 +300,16 @@ class TestReplicate:
         assert code == 1
         assert "FAIL" in out
         assert "expected" in err
+
+    def test_mismatch_shows_plain_number(self):
+        inst = adf.paper_example()
+        tables = [enumerate_marginal(inst, s) for s in replicate.order_scopes(inst, 3)]
+        first = tables[0]
+        tables[0] = dataclasses.replace(first, values=(np.float64(5.5),) + first.values[1:])
+        mismatches = []
+        replicate._compare("order3", tables, mismatches)
+        assert len(mismatches) == 1
+        assert mismatches[0].endswith("config 000: expected 768, got 5.5")
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -66,7 +66,7 @@ class TestVig:
         vig = build_vig(paper_example())
         assert len(vig.edges) == 20
         for v in range(10):
-            assert vig.neighbors(v) == {(v + d) % 10 for d in (-2, -1, 1, 2)}
+            assert vig.adjacency()[v] == {(v + d) % 10 for d in (-2, -1, 1, 2)}
 
     def test_separable_blocks(self):
         vig = build_vig(generate(GeneratorSpec(SEPARABLE, n=6, k=3)))
