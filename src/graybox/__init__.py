@@ -57,6 +57,7 @@ from .marginals import (
     boltzmann,
     deception_report,
     enumerate_marginal,
+    enumerate_marginals,
     exhaustive_optimum,
     max_configs,
 )

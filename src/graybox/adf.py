@@ -86,9 +86,6 @@ class Subfunction:
     def k(self) -> int:
         return len(self.scope)
 
-    def value(self, solution: Bits) -> float:
-        return self.codomain[project(solution, self.scope)]
-
 
 @dataclass(frozen=True)
 class AdfInstance:

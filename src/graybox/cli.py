@@ -29,30 +29,23 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _load_instance(path: str) -> adf.AdfInstance:
-    return adf.parse(Path(path).read_text())
+    return adf.parse(_read_text(path))
 
 
-def _parse_scopes(spec: str) -> list[tuple[int, ...]]:
-    scopes = []
-    for group in spec.split(";"):
-        group = group.strip()
-        if not group:
-            continue
-        scopes.append(tuple(int(tok) for tok in group.split(",")))
-    if not scopes:
-        raise ConfigError(f"no scopes in {spec!r}")
-    return scopes
-
-
-def _scope_list(args, instance: adf.AdfInstance) -> list[tuple[int, ...]]:
-    if args.scopes:
-        return _parse_scopes(args.scopes)
-    if args.order is not None:
-        if args.order < 1:
-            raise ConfigError(f"--order must be at least 1, got {args.order}")
-        return replicate.order_scopes(instance, args.order)
-    return replicate.jt_scopes(instance)[1]
+def _parse_ints(spec: str, flag: str) -> tuple[int, ...]:
+    """A comma-separated list of integers given to `flag`."""
+    try:
+        return tuple(int(tok) for tok in spec.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated integers, got {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +77,8 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     instance = _load_instance(args.instance)
     heuristic: str | tuple[int, ...] = args.heuristic
-    if args.elimination_order:
-        heuristic = tuple(int(tok) for tok in args.elimination_order.split(","))
+    if args.elimination_order is not None:
+        heuristic = _parse_ints(args.elimination_order, "--elimination-order")
 
     if args.vig:
         vig = graphs.build_vig(instance)
@@ -130,19 +123,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _check_stat_flags(args) -> None:
+def _marginal_tables(args) -> tuple[marginals.MarginalTable, ...]:
+    """The tables of the requested scopes, from one sweep over all 2^n solutions."""
     if args.stat == marginals.STAT_BOLTZMANN and args.beta is None:
         raise ConfigError("--stat boltzmann needs --beta")
+    instance = _load_instance(args.instance)
+    if args.scopes is not None:
+        scopes = [_parse_ints(g, "--scopes") for g in args.scopes.split(";") if g.strip()]
+        if not scopes:
+            raise ConfigError(f"no scopes in {args.scopes!r}")
+    elif args.order is not None:
+        if args.order < 1:
+            raise ConfigError(f"--order must be at least 1, got {args.order}")
+        scopes = replicate.order_scopes(instance, args.order)
+    else:
+        scopes = replicate.jt_scopes(instance)[1]
+    return marginals.enumerate_marginals(instance, scopes, kind=args.stat, beta=args.beta)
 
 
 def cmd_marginals(args) -> int:
-    _check_stat_flags(args)
-    instance = _load_instance(args.instance)
-    scopes = _scope_list(args, instance)
-    tables = [
-        marginals.enumerate_marginal(instance, scope, kind=args.stat, beta=args.beta)
-        for scope in scopes
-    ]
+    tables = _marginal_tables(args)
     if args.format == "json":
         _emit(_json_text(marginals.tables_to_json(tables)), args.out)
     else:
@@ -151,13 +151,8 @@ def cmd_marginals(args) -> int:
 
 
 def cmd_deception(args) -> int:
-    _check_stat_flags(args)
-    instance = _load_instance(args.instance)
-    scopes = _scope_list(args, instance)
     optimum = adf.bits_from_string(args.optimum)
-    report = marginals.deception_report(
-        instance, scopes, optimum, kind=args.stat, beta=args.beta
-    )
+    report = marginals.deception_report(_marginal_tables(args), optimum)
     _emit(_json_text(marginals.deception_to_json(report)), args.out)
     return 0
 
@@ -167,7 +162,7 @@ def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
         return graphs.univariate_factorization(instance.n)
     if args.factor_file:
         try:
-            doc = json.loads(Path(args.factor_file).read_text())
+            doc = json.loads(_read_text(args.factor_file))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.factor_file}: invalid JSON: {exc}") from None
         return graphs.factorization_from_json(doc)
@@ -201,6 +196,8 @@ def cmd_fda(args) -> int:
 
 
 def cmd_climb(args) -> int:
+    if args.starts < 1:
+        raise ConfigError(f"--starts must be at least 1, got {args.starts}")
     instance = _load_instance(args.instance)
     trace_lines: list[str] = []
     trace = None
@@ -294,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
-    def add_scope_source(p):
+    def add_table_flags(p):
+        p.add_argument("instance")
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--scopes", help="semicolon-separated scopes, e.g. '1,2,3;2,3,4'")
         src.add_argument("--order", type=int,
@@ -302,24 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "one before its first scope variable, wrapping cyclically")
         src.add_argument("--jt-factors", action="store_true",
                          help="min-fill junction-tree cliques")
+        p.add_argument("--stat", choices=[marginals.STAT_SUM, marginals.STAT_MEAN,
+                                          marginals.STAT_BOLTZMANN], default=marginals.STAT_SUM)
+        p.add_argument("--beta", type=float, default=None)
 
     p = sub.add_parser("marginals", help="exhaustive marginal tables")
-    p.add_argument("instance")
-    add_scope_source(p)
-    p.add_argument("--stat", choices=[marginals.STAT_SUM, marginals.STAT_MEAN,
-                                      marginals.STAT_BOLTZMANN], default=marginals.STAT_SUM)
-    p.add_argument("--beta", type=float, default=None)
+    add_table_flags(p)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_marginals)
 
     p = sub.add_parser("deception", help="deceptive-factor report against an optimum")
-    p.add_argument("instance")
-    add_scope_source(p)
+    add_table_flags(p)
     p.add_argument("--optimum", required=True, help="reference optimum as a 0/1 string")
-    p.add_argument("--stat", choices=[marginals.STAT_SUM, marginals.STAT_MEAN,
-                                      marginals.STAT_BOLTZMANN], default=marginals.STAT_SUM)
-    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_deception)
 

@@ -57,11 +57,20 @@ def _check_scope(instance: AdfInstance, scope: Sequence[int]) -> tuple[int, ...]
     return scope
 
 
-def _fitness_chunks(instance: AdfInstance) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (bit matrix, fitness vector) over all 2^n solutions, in id order.
+def _weighted_chunks(
+    instance: AdfInstance, beta: float | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (bit matrix, weight vector) over all 2^n solutions, in id order.
 
     Solution id s has x_0 as its most significant bit, matching project().
+    The weight is the fitness itself when beta is None, else the Boltzmann
+    weight exp(beta * (f - fmax)), after a first sweep for the max fitness.
     """
+    if beta is not None:
+        fmax = max(float(fitness.max()) for _, fitness in _weighted_chunks(instance))
+        for bits, fitness in _weighted_chunks(instance):
+            yield bits, np.exp(beta * (fitness - fmax))
+        return
     n = instance.n
     total = 1 << n
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -99,6 +108,47 @@ class BoltzmannDistribution:
         return float(self.probabilities[project(solution, range(self.n))])
 
 
+def enumerate_marginals(
+    instance: AdfInstance,
+    scopes: Sequence[Sequence[int]],
+    kind: str = STAT_SUM,
+    beta: float | None = None,
+    limit: int | None = None,
+) -> tuple[MarginalTable, ...]:
+    """Full-enumeration marginal statistic for every scope, from one sweep.
+
+    STAT_SUM adds the fitness of every solution sharing each configuration;
+    STAT_MEAN divides those sums by 2^(n-j); STAT_BOLTZMANN marginalizes the
+    Boltzmann distribution at the given beta (guarded against overflow).
+    """
+    _check_capacity(instance.n, limit)
+    if kind not in (STAT_SUM, STAT_MEAN, STAT_BOLTZMANN):
+        raise StructuralError(f"unknown statistic kind {kind!r}")
+    if kind == STAT_BOLTZMANN:
+        if beta is None or beta < 0:
+            raise StructuralError("boltzmann statistic needs beta >= 0")
+    else:
+        beta = None
+    scopes = [_check_scope(instance, scope) for scope in scopes]
+    columns = [(np.array(s), 1 << np.arange(len(s) - 1, -1, -1)) for s in scopes]
+    accs = [np.zeros(1 << len(s)) for s in scopes]
+    total = 0.0
+    # np.add.at, not np.bincount: bincount restarts its sum in every chunk,
+    # which changes the float bits of the tables once n exceeds _CHUNK_BITS.
+    for bits, weights in _weighted_chunks(instance, beta):
+        for acc, (cols, powers) in zip(accs, columns):
+            np.add.at(acc, bits[:, cols] @ powers, weights)
+        total += float(weights.sum())
+    tables = []
+    for scope, acc in zip(scopes, accs):
+        if kind == STAT_BOLTZMANN:
+            acc /= total
+        elif kind == STAT_MEAN:
+            acc /= 1 << (instance.n - len(scope))
+        tables.append(MarginalTable(scope, kind, tuple(acc), instance.n, beta))
+    return tuple(tables)
+
+
 def enumerate_marginal(
     instance: AdfInstance,
     scope: Sequence[int],
@@ -106,41 +156,8 @@ def enumerate_marginal(
     beta: float | None = None,
     limit: int | None = None,
 ) -> MarginalTable:
-    """Full-enumeration marginal statistic for one scope.
-
-    STAT_SUM adds the fitness of every solution sharing each configuration;
-    STAT_MEAN divides those sums by 2^(n-j); STAT_BOLTZMANN marginalizes the
-    Boltzmann distribution at the given beta (guarded against overflow).
-    """
-    _check_capacity(instance.n, limit)
-    scope = _check_scope(instance, scope)
-    if kind not in (STAT_SUM, STAT_MEAN, STAT_BOLTZMANN):
-        raise StructuralError(f"unknown statistic kind {kind!r}")
-    if kind == STAT_BOLTZMANN:
-        if beta is None or beta < 0:
-            raise StructuralError("boltzmann statistic needs beta >= 0")
-    j = len(scope)
-    powers = 1 << np.arange(j - 1, -1, -1)
-    scope_arr = np.array(scope)
-    acc = np.zeros(1 << j)
-
-    if kind == STAT_BOLTZMANN:
-        fmax = -math.inf
-        for _, fitness in _fitness_chunks(instance):
-            fmax = max(fmax, float(fitness.max()))
-        total = 0.0
-        for bits, fitness in _fitness_chunks(instance):
-            weights = np.exp(beta * (fitness - fmax))
-            np.add.at(acc, bits[:, scope_arr] @ powers, weights)
-            total += float(weights.sum())
-        values = acc / total
-        return MarginalTable(scope=scope, kind=kind, values=tuple(values), n=instance.n, beta=beta)
-
-    for bits, fitness in _fitness_chunks(instance):
-        np.add.at(acc, bits[:, scope_arr] @ powers, fitness)
-    if kind == STAT_MEAN:
-        acc /= 1 << (instance.n - j)
-    return MarginalTable(scope=scope, kind=kind, values=tuple(acc), n=instance.n)
+    """Full-enumeration marginal statistic for one scope (see enumerate_marginals)."""
+    return enumerate_marginals(instance, [scope], kind=kind, beta=beta, limit=limit)[0]
 
 
 def boltzmann(instance: AdfInstance, beta: float, limit: int | None = None) -> BoltzmannDistribution:
@@ -148,15 +165,11 @@ def boltzmann(instance: AdfInstance, beta: float, limit: int | None = None) -> B
     if beta < 0:
         raise StructuralError("beta must be nonnegative")
     _check_capacity(instance.n, limit)
-    fmax = -math.inf
-    for _, fitness in _fitness_chunks(instance):
-        fmax = max(fmax, float(fitness.max()))
     probs = np.empty(1 << instance.n)
     pos = 0
-    for _, fitness in _fitness_chunks(instance):
-        w = np.exp(beta * (fitness - fmax))
-        probs[pos : pos + len(w)] = w
-        pos += len(w)
+    for _, weights in _weighted_chunks(instance, beta):
+        probs[pos : pos + len(weights)] = weights
+        pos += len(weights)
     probs /= probs.sum()
     return BoltzmannDistribution(n=instance.n, beta=beta, probabilities=probs)
 
@@ -202,24 +215,16 @@ class DeceptionReport:
         return frozenset(e.factor_id for e in self.entries if e.deceptive)
 
 
-def deception_report(
-    instance: AdfInstance,
-    scopes: Sequence[Sequence[int]],
-    reference_optimum: Bits,
-    kind: str = STAT_SUM,
-    beta: float | None = None,
-    limit: int | None = None,
-) -> DeceptionReport:
-    """Flag each scope whose best-statistic configurations all disagree with
-    the reference optimum's projection. Factor ids are 1-based so they line
-    up with published table columns."""
-    if len(reference_optimum) != instance.n:
-        raise StructuralError(
-            f"reference optimum has {len(reference_optimum)} bits, expected {instance.n}"
-        )
+def deception_report(tables: Sequence[MarginalTable], reference_optimum: Bits) -> DeceptionReport:
+    """Flag each table whose best-statistic configurations all disagree with
+    the reference optimum's projection. Factor ids are 1-based positions in
+    `tables`, so they line up with published table columns."""
     entries = []
-    for i, scope in enumerate(scopes, start=1):
-        table = enumerate_marginal(instance, scope, kind=kind, beta=beta, limit=limit)
+    for i, table in enumerate(tables, start=1):
+        if len(reference_optimum) != table.n:
+            raise StructuralError(
+                f"reference optimum has {len(reference_optimum)} bits, expected {table.n}"
+            )
         best = max_configs(table)
         opt_cfg = project(reference_optimum, table.scope)
         entries.append(
@@ -242,7 +247,7 @@ def exhaustive_optimum(
     best = -math.inf
     best_ids: list[int] = []
     offset = 0
-    for _, fitness in _fitness_chunks(instance):
+    for _, fitness in _weighted_chunks(instance):
         chunk_best = float(fitness.max())
         if chunk_best > best:
             best = chunk_best

@@ -33,7 +33,7 @@ from graybox.graphs import (
     triangulate,
     univariate_factorization,
 )
-from graybox.marginals import boltzmann, deception_report
+from graybox.marginals import boltzmann, deception_report, enumerate_marginals
 from graybox.fda import Population, estimate, model_probability
 from graybox.replicate import jt_scopes, load_golden, order_scopes, replicate
 
@@ -74,10 +74,10 @@ def test_criterion_2_deceptive_factor_sets():
     inst = paper_example()
     optimum = (1,) * 10
     got = (
-        deception_report(inst, order_scopes(inst, 3), optimum).deceptive_ids,
-        deception_report(inst, order_scopes(inst, 4), optimum).deceptive_ids,
-        deception_report(inst, order_scopes(inst, 5), optimum).deceptive_ids,
-        deception_report(inst, jt_scopes(inst)[1], optimum).deceptive_ids,
+        deception_report(enumerate_marginals(inst, order_scopes(inst, 3)), optimum).deceptive_ids,
+        deception_report(enumerate_marginals(inst, order_scopes(inst, 4)), optimum).deceptive_ids,
+        deception_report(enumerate_marginals(inst, order_scopes(inst, 5)), optimum).deceptive_ids,
+        deception_report(enumerate_marginals(inst, jt_scopes(inst)[1]), optimum).deceptive_ids,
     )
     ok = got == ({3, 8, 9}, {10}, {9}, frozenset())
     check(2, f"deceptive sets {tuple(sorted(s) for s in got)} == ((3,8,9),(10,),(9,),())", ok)

@@ -171,6 +171,7 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+        return err
 
     def test_instance_path_is_directory(self, capsys, tmp_path):
         self.assert_error(capsys, 1, ["analyze", str(tmp_path), "--treewidth"])
@@ -188,6 +189,37 @@ class TestBadInput:
         path = tmp_path / "nan.adf"
         path.write_text("adf 2 1\nsub 2 0 1 nan 1 inf 0\n")
         self.assert_error(capsys, 1, ["climb", str(path), "--start", "00"])
+
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_non_positive_starts(self, capsys, paper_file, starts):
+        self.assert_error(capsys, 2, ["climb", paper_file, "--starts", starts])
+
+    @pytest.mark.parametrize("command", ["marginals", "deception"])
+    def test_non_integer_scope_token(self, capsys, paper_file, command):
+        args = ["--optimum", "1111111111"] if command == "deception" else []
+        err = self.assert_error(capsys, 2, [command, paper_file, "--scopes", "0,a", *args])
+        assert "--scopes" in err
+
+    @pytest.mark.parametrize("spec", ["", ";"])
+    def test_empty_scopes(self, capsys, paper_file, spec):
+        self.assert_error(capsys, 2, ["marginals", paper_file, "--scopes", spec])
+
+    @pytest.mark.parametrize("order", ["0,1,x", ""])
+    def test_non_integer_elimination_order(self, capsys, paper_file, order):
+        err = self.assert_error(
+            capsys, 2, ["analyze", paper_file, "--treewidth", "--elimination-order", order]
+        )
+        assert "--elimination-order" in err
+
+    def test_instance_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.adf"
+        path.write_bytes(b"\xff\xfe")
+        self.assert_error(capsys, 1, ["analyze", str(path), "--treewidth"])
+
+    def test_factor_file_not_utf8(self, capsys, paper_file, tmp_path):
+        bad = tmp_path / "factors.json"
+        bad.write_bytes(b"\xff\xfe")
+        self.assert_error(capsys, 1, ["fda", paper_file, "--factor-file", str(bad)])
 
 
 class TestFda:

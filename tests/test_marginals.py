@@ -22,6 +22,7 @@ from graybox.marginals import (
     boltzmann,
     deception_report,
     enumerate_marginal,
+    enumerate_marginals,
     exhaustive_optimum,
     marginalize_table,
     max_configs,
@@ -179,25 +180,29 @@ class TestDeception:
     def test_published_deceptive_sets(self):
         inst = paper_example()
         optimum = (1,) * 10
-        assert deception_report(inst, order_scopes(inst, 3), optimum).deceptive_ids == {3, 8, 9}
-        assert deception_report(inst, order_scopes(inst, 4), optimum).deceptive_ids == {10}
-        assert deception_report(inst, order_scopes(inst, 5), optimum).deceptive_ids == {9}
-        assert deception_report(inst, jt_scopes(inst)[1], optimum).deceptive_ids == frozenset()
+        report = deception_report(enumerate_marginals(inst, order_scopes(inst, 3)), optimum)
+        assert report.deceptive_ids == {3, 8, 9}
+        report = deception_report(enumerate_marginals(inst, order_scopes(inst, 4)), optimum)
+        assert report.deceptive_ids == {10}
+        report = deception_report(enumerate_marginals(inst, order_scopes(inst, 5)), optimum)
+        assert report.deceptive_ids == {9}
+        report = deception_report(enumerate_marginals(inst, jt_scopes(inst)[1]), optimum)
+        assert report.deceptive_ids == frozenset()
 
     def test_sum_mean_invariance(self):
         inst = paper_example()
         optimum = (1,) * 10
         for order in (3, 4, 5):
             scopes = order_scopes(inst, order)
-            by_sum = deception_report(inst, scopes, optimum, STAT_SUM)
-            by_mean = deception_report(inst, scopes, optimum, STAT_MEAN)
+            by_sum = deception_report(enumerate_marginals(inst, scopes, STAT_SUM), optimum)
+            by_mean = deception_report(enumerate_marginals(inst, scopes, STAT_MEAN), optimum)
             assert by_sum.deceptive_ids == by_mean.deceptive_ids
             for a, b in zip(by_sum.entries, by_mean.entries):
                 assert a.best_configs == b.best_configs
 
     def test_optimum_length_checked(self):
         with pytest.raises(StructuralError):
-            deception_report(paper_example(), [(0, 1, 2)], (1,) * 9)
+            deception_report(enumerate_marginals(paper_example(), [(0, 1, 2)]), (1,) * 9)
 
 
 class TestExhaustiveOptimum:
