@@ -4,6 +4,8 @@ A function over n binary variables is stored as a list of subfunctions, each
 with an ordered scope (variable indices) and a codomain table of 2^k values.
 Configuration indices read the scope left to right, first variable most
 significant, so a codomain vector lists the values for 000, 001, ..., 111.
+project (one solution), config_index (rows of a bit matrix) and its inverse
+config_bits define that index for every table in the package.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +32,18 @@ class Visibility(str, Enum):
     BLACK = "black"
 
 
+def _validate_scope(scope: Sequence[int], n: int | None = None) -> None:
+    """StructuralError unless the scope is nonempty, repeats no variable and,
+    when n is given, lies in range(n)."""
+    if len(scope) < 1:
+        raise StructuralError("scope must contain at least one variable")
+    if len(set(scope)) != len(scope):
+        raise StructuralError(f"duplicate variable in scope {scope}")
+    if n is not None and (min(scope) < 0 or max(scope) >= n):
+        v = next(v for v in scope if not 0 <= v < n)
+        raise StructuralError(f"scope index {v} out of range for n={n}")
+
+
 def project(solution: Bits, scope: Sequence[int]) -> int:
     """Read the solution bits at the scope positions as a binary number.
 
@@ -44,17 +59,34 @@ def project(solution: Bits, scope: Sequence[int]) -> int:
     return idx
 
 
+@lru_cache(maxsize=None)
+def _place_values(width: int) -> np.ndarray:
+    return 1 << np.arange(width - 1, -1, -1)
+
+
+def config_index(bits: np.ndarray, scope: Sequence[int]) -> np.ndarray:
+    """project() of every row of a (B, n) 0/1 matrix, as a (B,) int64 array.
+
+    Unlike project() the scope is not range-checked. An empty scope gives
+    index 0 for every row.
+    """
+    scope = np.asarray(scope, dtype=np.intp)
+    return np.asarray(bits)[:, scope] @ _place_values(len(scope))
+
+
+def config_bits(index: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of config_index: the (B, width) 0/1 rows of (B,) indices."""
+    return (np.asarray(index)[..., None] >> np.arange(width - 1, -1, -1)) & 1
+
+
 def collapse(values: Sequence[float], src: Sequence[int], dst: Sequence[int]) -> np.ndarray:
     """Sum a flat table over the ordered variables src onto the ordered subset dst.
 
     Both tables index configurations as project() does. Entries are added in
     input order, so the sums are the same as a per-configuration loop's.
     """
-    width = len(src)
-    configs = np.arange(1 << width)
-    idx = np.zeros(1 << width, dtype=np.int64)
-    for v in dst:
-        idx = (idx << 1) | ((configs >> (width - 1 - src.index(v))) & 1)
+    configs = config_bits(np.arange(1 << len(src)), len(src))
+    idx = config_index(configs, [src.index(v) for v in dst])
     return np.bincount(idx, weights=values, minlength=1 << len(dst))
 
 
@@ -70,10 +102,7 @@ class Subfunction:
     codomain: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.scope) < 1:
-            raise StructuralError("subfunction scope must contain at least one variable")
-        if len(set(self.scope)) != len(self.scope):
-            raise StructuralError(f"duplicate variable in scope {self.scope}")
+        _validate_scope(self.scope)
         if len(self.codomain) != 1 << len(self.scope):
             raise StructuralError(
                 f"codomain has {len(self.codomain)} entries, expected {1 << len(self.scope)}"
@@ -106,11 +135,10 @@ class AdfInstance:
         if not self.subfunctions:
             raise StructuralError("instance needs at least one subfunction")
         for i, sub in enumerate(self.subfunctions):
-            for v in sub.scope:
-                if not 0 <= v < self.n:
-                    raise StructuralError(
-                        f"subfunction {i}: scope index {v} out of range for n={self.n}"
-                    )
+            try:
+                _validate_scope(sub.scope, self.n)
+            except StructuralError as exc:
+                raise StructuralError(f"subfunction {i}: {exc}") from None
         object.__setattr__(self, "_batch_tables", None)
         object.__setattr__(self, "_incidence", None)
 
@@ -138,8 +166,8 @@ class AdfInstance:
         if bits.ndim != 2 or bits.shape[1] != self.n:
             raise StructuralError(f"expected a (B, {self.n}) bit matrix, got {bits.shape}")
         total = np.zeros(bits.shape[0])
-        for scope, powers, codomain in self._tables():
-            total += codomain[bits[:, scope] @ powers]
+        for scope, codomain in self._tables():
+            total += codomain[config_index(bits, scope)]
         return total
 
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -154,12 +182,11 @@ class AdfInstance:
 
     def _tables(self):
         if self._batch_tables is None:
-            tables = []
-            for sub in self.subfunctions:
-                scope = np.array(sub.scope)
-                powers = 1 << np.arange(sub.k - 1, -1, -1)
-                tables.append((scope, powers, np.array(sub.codomain)))
-            object.__setattr__(self, "_batch_tables", tuple(tables))
+            tables = tuple(
+                (np.array(sub.scope, dtype=np.intp), np.array(sub.codomain))
+                for sub in self.subfunctions
+            )
+            object.__setattr__(self, "_batch_tables", tables)
         return self._batch_tables
 
 

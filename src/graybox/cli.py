@@ -160,7 +160,9 @@ def cmd_deception(args) -> int:
 def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
     if args.univariate:
         return graphs.univariate_factorization(instance.n)
-    if args.factor_file:
+    if args.factor_file is not None:
+        if not args.factor_file:
+            raise ConfigError("--factor-file needs a path")
         try:
             doc = json.loads(_read_text(args.factor_file))
         except json.JSONDecodeError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, bits_to_string, collapse
+from .adf import AdfInstance, Bits, bits_to_string, collapse, config_bits, config_index, project
 from .errors import ConfigError, StructuralError
 from .graphs import Factorization
 
@@ -161,18 +161,6 @@ def selection_probabilities(population: Population, method: SelectionMethod) -> 
     raise ConfigError(f"unknown selection method {method!r}")
 
 
-def _factor_indices(factorization: Factorization):
-    """Precomputed (cond array, cond powers, new array, new powers) per factor."""
-    out = []
-    for f in factorization.factors:
-        cond = np.array(f.cond, dtype=np.int64)
-        new = np.array(f.new, dtype=np.int64)
-        cp = 1 << np.arange(len(f.cond) - 1, -1, -1) if f.cond else np.zeros(0, dtype=np.int64)
-        np_ = 1 << np.arange(len(f.new) - 1, -1, -1)
-        out.append((cond, cp, new, np_))
-    return out
-
-
 def estimate(
     factorization: Factorization, selected: Population, smoothing: float = 1.0
 ) -> FactorParams:
@@ -185,12 +173,10 @@ def estimate(
         raise ConfigError("smoothing must be nonnegative")
     bits = selected.solutions
     tables = []
-    for (cond, cp, new, np_), f in zip(_factor_indices(factorization), factorization.factors):
+    for f in factorization.factors:
         rows, cols = 1 << len(f.cond), 1 << len(f.new)
         counts = np.zeros((rows, cols))
-        cond_idx = bits[:, cond] @ cp if len(f.cond) else np.zeros(bits.shape[0], dtype=np.int64)
-        new_idx = bits[:, new] @ np_
-        np.add.at(counts, (cond_idx, new_idx), 1.0)
+        np.add.at(counts, (config_index(bits, f.cond), config_index(bits, f.new)), 1.0)
         counts += smoothing
         totals = counts.sum(axis=1, keepdims=True)
         empty = totals[:, 0] == 0
@@ -221,26 +207,14 @@ def sample(
     if count < 1:
         raise ConfigError("sample count must be at least 1")
     _check_params(factorization, params)
-    n = factorization.n
-    bits = np.full((count, n), -1, dtype=np.int8)
-    for (cond, cp, new, np_), f, table in zip(
-        _factor_indices(factorization), factorization.factors, params.tables
-    ):
-        if len(f.cond):
-            cond_bits = bits[:, cond]
-            if (cond_bits < 0).any():
-                raise StructuralError(
-                    f"conditioning variables {f.cond} sampled before assignment"
-                )
-            cond_idx = cond_bits.astype(np.int64) @ cp
-        else:
-            cond_idx = np.zeros(count, dtype=np.int64)
-        cdf = np.cumsum(table, axis=1)[cond_idx]
+    # Factorization guarantees every conditioning variable is sampled earlier.
+    bits = np.zeros((count, factorization.n), dtype=np.uint8)
+    for f, table in zip(factorization.factors, params.tables):
+        cdf = np.cumsum(table, axis=1)[config_index(bits, f.cond)]
         u = rng.random(count)
         new_idx = np.minimum((cdf < u[:, None]).sum(axis=1), (1 << len(f.new)) - 1)
-        for j, v in enumerate(f.new):
-            bits[:, v] = (new_idx >> (len(f.new) - 1 - j)) & 1
-    return Population(solutions=bits.astype(np.uint8))
+        bits[:, f.new] = config_bits(new_idx, len(f.new))
+    return Population(solutions=bits)
 
 
 def model_probability(
@@ -254,13 +228,7 @@ def model_probability(
         )
     p = 1.0
     for f, table in zip(factorization.factors, params.tables):
-        cond_idx = 0
-        for v in f.cond:
-            cond_idx = (cond_idx << 1) | (1 if solution[v] else 0)
-        new_idx = 0
-        for v in f.new:
-            new_idx = (new_idx << 1) | (1 if solution[v] else 0)
-        p *= float(table[cond_idx, new_idx])
+        p *= float(table[project(solution, f.cond), project(solution, f.new)])
     return p
 
 

@@ -16,7 +16,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, collapse, config_string, project
+from .adf import AdfInstance, Bits, _validate_scope, collapse, config_bits, config_index
+from .adf import config_string, project
 from .errors import CapacityError, ConfigError, StructuralError
 
 STAT_SUM = "sum"
@@ -45,24 +46,13 @@ def _check_capacity(n: int, limit: int | None) -> None:
         raise CapacityError(f"exhaustive enumeration refused: n={n} exceeds limit {cap}")
 
 
-def _check_scope(instance: AdfInstance, scope: Sequence[int]) -> tuple[int, ...]:
-    scope = tuple(int(v) for v in scope)
-    if not scope:
-        raise StructuralError("scope must be nonempty")
-    if len(set(scope)) != len(scope):
-        raise StructuralError(f"duplicate variable in scope {scope}")
-    for v in scope:
-        if not 0 <= v < instance.n:
-            raise StructuralError(f"scope index {v} out of range for n={instance.n}")
-    return scope
-
-
 def _weighted_chunks(
     instance: AdfInstance, beta: float | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (bit matrix, weight vector) over all 2^n solutions, in id order.
 
-    Solution id s has x_0 as its most significant bit, matching project().
+    Solution id s is the configuration index of the solution over scope
+    (0, ..., n-1), so x_0 is its most significant bit.
     The weight is the fitness itself when beta is None, else the Boltzmann
     weight exp(beta * (f - fmax)), after a first sweep for the max fitness.
     """
@@ -71,13 +61,10 @@ def _weighted_chunks(
         for bits, fitness in _weighted_chunks(instance):
             yield bits, np.exp(beta * (fitness - fmax))
         return
-    n = instance.n
-    total = 1 << n
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    total = 1 << instance.n
     step = min(total, 1 << _CHUNK_BITS)
     for start in range(0, total, step):
-        ids = np.arange(start, min(start + step, total), dtype=np.int64)
-        bits = (ids[:, None] >> shifts) & 1
+        bits = config_bits(np.arange(start, min(start + step, total)), instance.n)
         yield bits, instance.evaluate_batch(bits)
 
 
@@ -129,15 +116,16 @@ def enumerate_marginals(
             raise StructuralError("boltzmann statistic needs beta >= 0")
     else:
         beta = None
-    scopes = [_check_scope(instance, scope) for scope in scopes]
-    columns = [(np.array(s), 1 << np.arange(len(s) - 1, -1, -1)) for s in scopes]
+    scopes = [tuple(map(int, scope)) for scope in scopes]
+    for scope in scopes:
+        _validate_scope(scope, instance.n)
     accs = [np.zeros(1 << len(s)) for s in scopes]
     total = 0.0
     # np.add.at, not np.bincount: bincount restarts its sum in every chunk,
     # which changes the float bits of the tables once n exceeds _CHUNK_BITS.
     for bits, weights in _weighted_chunks(instance, beta):
-        for acc, (cols, powers) in zip(accs, columns):
-            np.add.at(acc, bits[:, cols] @ powers, weights)
+        for acc, scope in zip(accs, scopes):
+            np.add.at(acc, config_index(bits, scope), weights)
         total += float(weights.sum())
     tables = []
     for scope, acc in zip(scopes, accs):
@@ -245,19 +233,15 @@ def exhaustive_optimum(
     """All global maxima and their fitness, by brute force."""
     _check_capacity(instance.n, limit)
     best = -math.inf
-    best_ids: list[int] = []
-    offset = 0
-    for _, fitness in _weighted_chunks(instance):
+    best_rows: list[np.ndarray] = []
+    for bits, fitness in _weighted_chunks(instance):
         chunk_best = float(fitness.max())
         if chunk_best > best:
             best = chunk_best
-            best_ids = []
+            best_rows = []
         if chunk_best == best:
-            best_ids.extend(int(i) + offset for i in np.flatnonzero(fitness == best))
-        offset += len(fitness)
-    n = instance.n
-    solutions = tuple(tuple((s >> (n - 1 - j)) & 1 for j in range(n)) for s in best_ids)
-    return solutions, best
+            best_rows.extend(bits[fitness == best])
+    return tuple(tuple(int(b) for b in row) for row in best_rows), best
 
 
 # ---------------------------------------------------------------------------

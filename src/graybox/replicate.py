@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .adf import AdfInstance, paper_example
+from .adf import AdfInstance, config_string, paper_example
 from .graphs import (
     Factor,
     JunctionTree,
@@ -106,9 +106,8 @@ def _compare(name: str, tables: list[MarginalTable], mismatches: list[str]) -> N
         )
         return
     for table, key in zip(tables, computed_keys):
-        width = table.order
         for cfg, value in enumerate(table.values):
-            cfg_str = format(cfg, f"0{width}b")
+            cfg_str = config_string(cfg, table.order)
             expected = golden[key][cfg_str]
             if value != expected:
                 mismatches.append(

@@ -1,9 +1,11 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,30 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+PINNED = Path(__file__).parent / "data" / "pinned"
+
+
+def _pinned_cases():
+    spec = importlib.util.spec_from_file_location("pinned_regenerate", PINNED / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cases
+
+
+pinned_cases = _pinned_cases()
+
+
+@pytest.mark.parametrize("name", sorted(pinned_cases(PINNED, PINNED)))
+def test_pinned_output(capsys, tmp_path, name):
+    """Fixed-seed runs reproduce the stored stdout and side file byte for byte."""
+    argv, side = pinned_cases(PINNED, tmp_path)[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (PINNED / f"{name}.out").read_text()
+    if side is not None:
+        assert side.read_text() == (PINNED / f"{name}.side").read_text()
 
 
 class TestGen:
@@ -220,6 +246,10 @@ class TestBadInput:
         bad = tmp_path / "factors.json"
         bad.write_bytes(b"\xff\xfe")
         self.assert_error(capsys, 1, ["fda", paper_file, "--factor-file", str(bad)])
+
+    def test_empty_factor_file_path(self, capsys, paper_file):
+        err = self.assert_error(capsys, 2, ["fda", paper_file, "--factor-file", ""])
+        assert "--factor-file" in err
 
 
 class TestFda:

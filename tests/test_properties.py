@@ -1,12 +1,15 @@
-"""Property tests for the shared table collapse, the one-sweep marginal
-enumeration and the elimination routine.
+"""Property tests for the configuration-index codec, instance round trips,
+the shared table collapse, the one-sweep marginal enumeration, the
+elimination routine and the junction-tree FDA model.
 
 networkx serves only as an independent oracle for chordality and maximal
 cliques; the tests are skipped where it is not installed.
 """
 
+import string
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -14,12 +17,26 @@ nx = pytest.importorskip("networkx")
 
 from hypothesis import given, settings, strategies as st
 
-from graybox.adf import AdfInstance, Subfunction, collapse, project
+from graybox.adf import (
+    AdfInstance,
+    Subfunction,
+    Visibility,
+    collapse,
+    config_bits,
+    config_index,
+    parse,
+    project,
+    serialize,
+    serialize_json,
+)
+from graybox.fda import FactorParams, model_probability, sample
 from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
     InteractionGraph,
+    build_vig,
     elimination_fill,
+    factorization_from_jt,
     junction_tree,
     running_intersection_holds,
     triangulate,
@@ -51,6 +68,41 @@ def _instance(draw) -> AdfInstance:
 
 def _scope(draw, n: int) -> tuple[int, ...]:
     return tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([np.uint8, np.int64, bool]))
+def test_config_index_is_project_per_row(data, dtype):
+    n = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                              min_size=1, max_size=20))
+    bits = np.array(rows, dtype=dtype)
+    scope = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    assert config_index(bits, scope).tolist() == [project(row, scope) for row in rows]
+    assert config_bits(config_index(bits, range(n)), n).tolist() == rows
+
+
+@st.composite
+def named_instances(draw):
+    """A small instance with arbitrary finite values, visibility and a
+    one-line name (the text format keeps the name on a comment line)."""
+    base = _instance(draw)
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    subs = tuple(
+        Subfunction(sub.scope, tuple(draw(st.lists(values, min_size=len(sub.codomain),
+                                                   max_size=len(sub.codomain)))))
+        for sub in base.subfunctions
+    )
+    wgb = (draw(st.sampled_from(Visibility)), draw(st.sampled_from(Visibility)))
+    name = draw(st.text(string.ascii_letters + string.digits + " -_=(),.#:")).strip()
+    return AdfInstance(n=base.n, subfunctions=subs, wgb=wgb, name=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(named_instances())
+def test_parse_inverts_serialize(instance):
+    assert parse(serialize(instance)) == instance
+    assert parse(serialize_json(instance)) == instance
 
 
 @st.composite
@@ -138,3 +190,29 @@ def test_junction_tree_cliques_match_networkx(graph, data):
         oracle.add_nodes_from(range(graph.n))
         assert {frozenset(c) for c in jt.cliques} == set(nx.chordal_graph_cliques(oracle))
         assert running_intersection_holds(jt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_junction_tree_model_is_a_distribution(data):
+    instance = _instance(data.draw)
+    jt = junction_tree(triangulate(build_vig(instance), MIN_FILL))
+    factorization = factorization_from_jt(jt, data.draw(st.integers(0, len(jt.cliques) - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shapes = [(1 << len(f.cond), 1 << len(f.new)) for f in factorization.factors]
+    tables = [rng.random(shape) for shape in shapes]
+    params = FactorParams(tuple(t / t.sum(axis=1, keepdims=True) for t in tables), 1.0)
+    total = sum(model_probability(factorization, params, x)
+                for x in product((0, 1), repeat=instance.n))
+    assert total == pytest.approx(1.0, abs=1e-9)
+    drawn = sample(factorization, params, 30, rng).solutions
+    assert drawn.shape == (30, instance.n)
+    assert set(np.unique(drawn)) <= {0, 1}
+
+    # One-hot rows make the model deterministic: sampling must produce the
+    # one solution the model gives probability 1, in every row.
+    onehot = tuple(np.eye(cols)[rng.integers(0, cols, size=rows)] for rows, cols in shapes)
+    certain = FactorParams(onehot, 0.0)
+    drawn = sample(factorization, certain, 5, rng).solutions
+    assert (drawn == drawn[0]).all()
+    assert model_probability(factorization, certain, tuple(drawn[0])) == 1.0
