@@ -75,8 +75,8 @@ def config_index(bits: np.ndarray, scope: Sequence[int]) -> np.ndarray:
 
 
 def config_bits(index: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of config_index: the (B, width) 0/1 rows of (B,) indices."""
-    return (np.asarray(index)[..., None] >> np.arange(width - 1, -1, -1)) & 1
+    """Inverse of config_index: the (B, width) uint8 0/1 rows of (B,) indices."""
+    return ((np.asarray(index)[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def collapse(values: Sequence[float], src: Sequence[int], dst: Sequence[int]) -> np.ndarray:
@@ -331,16 +331,24 @@ def generate(spec: GeneratorSpec) -> AdfInstance:
 # Serialization: line-oriented text format plus a JSON mirror
 # ---------------------------------------------------------------------------
 #
-#   # name: <free text>           (optional)
+#   # name: <free text>           (optional; JSON-quoted when it starts with a
+#                                  quote, has outer blanks or a line break)
 #   adf <n> <M>
 #   wgb <structure> <subfunctions>   each in {white, gray, black} (optional)
 #   sub <k_i> <idx_1..idx_k> <v_0 .. v_{2^k - 1}>
 
 
+def _name_value(name: str) -> str:
+    """The name as written on its comment line: as-is when _parse_text reads
+    it back unchanged, else JSON-quoted with ASCII escapes."""
+    plain = name == name.strip() and len(name.splitlines()) == 1 and not name.startswith('"')
+    return name if plain else json.dumps(name)
+
+
 def serialize(instance: AdfInstance) -> str:
     lines = []
     if instance.name:
-        lines.append(f"# name: {instance.name}")
+        lines.append(f"# name: {_name_value(instance.name)}")
     lines.append(f"adf {instance.n} {instance.m}")
     lines.append(f"wgb {instance.wgb[0].value} {instance.wgb[1].value}")
     for sub in instance.subfunctions:
@@ -392,6 +400,11 @@ def _parse_text(text: str) -> AdfInstance:
             comment = line[1:].strip()
             if comment.startswith("name:"):
                 name = comment[len("name:"):].strip()
+                if name.startswith('"'):
+                    try:
+                        name = json.loads(name)
+                    except json.JSONDecodeError:
+                        raise ParseError(f"line {lineno}: malformed quoted name") from None
             continue
         fields = line.split()
         tag = fields[0]

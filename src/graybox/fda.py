@@ -232,40 +232,55 @@ def model_probability(
     return p
 
 
-def _row_entropy(row: np.ndarray) -> float:
-    nz = row[row > 0]
-    return float(-(nz * np.log2(nz)).sum())
+def _weighted_row_entropy(table: np.ndarray, weights: np.ndarray) -> float:
+    """Sum over rows c with weights[c] > 0 of weights[c] * H(table[c]), in bits.
+
+    Rows with the same number m of nonzero entries share one NumPy pass over
+    their packed (rows, m) nonzeros, so each row is summed exactly as a 1-D
+    array of its nonzeros would be; the weighted terms are added in row order.
+    """
+    nz = table > 0
+    counts = nz.sum(axis=1)
+    h = np.zeros(len(table))
+    for m in np.flatnonzero(np.bincount(counts)):
+        rows = np.flatnonzero(counts == m)
+        p = table[rows][nz[rows]].reshape(len(rows), m)
+        h[rows] = -(p * np.log2(p)).sum(axis=1)
+    return sum((weights * h)[weights > 0].tolist())
 
 
 def model_entropy(factorization: Factorization, params: FactorParams) -> float:
     """Exact entropy of the factorized distribution, in bits.
 
-    Uses the chain rule over factors, propagating each factor's joint down
-    the ordering. Needs every conditioning set to be covered by one earlier
-    factor's full scope (true for junction-tree factorizations and for the
-    univariate model); raises StructuralError otherwise.
+    Uses the chain rule over factors: H = sum_i sum_c p(cond_i = c) H(new_i | c).
+    The weights p(cond_i = c) come from collapsing the joint over the first
+    earlier factor whose full scope covers cond_i (true for junction-tree
+    factorizations and for the univariate model); raises StructuralError
+    when no single earlier factor covers it. Each table's row entropies take
+    one pass per distinct nonzero count rather than one per row, and give
+    the same floats as summing each row's nonzeros on its own.
     """
     _check_params(factorization, params)
     entropy = 0.0
     scopes: list[tuple[int, ...]] = []  # variable order of each stored joint
+    scope_sets: list[set[int]] = []
     joints: list[np.ndarray] = []
     for i, (f, table) in enumerate(zip(factorization.factors, params.tables)):
         if not f.cond:
             weights = np.ones(1)
         else:
-            cover = next(
-                (j for j in range(i) if set(f.cond) <= set(scopes[j])), None
-            )
+            cond = set(f.cond)
+            cover = next((j for j, s in enumerate(scope_sets) if cond <= s), None)
             if cover is None:
                 raise StructuralError(
                     f"factor {i} conditioning set {f.cond} spans multiple factors; "
                     "entropy needs junction-tree-shaped factorizations"
                 )
             weights = collapse(joints[cover], scopes[cover], f.cond)
-        entropy += float(sum(w * _row_entropy(table[c]) for c, w in enumerate(weights) if w > 0))
-        joint = (weights[:, None] * table).reshape(-1)
+        entropy += _weighted_row_entropy(table, weights)
         scopes.append(f.cond + f.new)
-        joints.append(joint)
+        scope_sets.append(set(scopes[-1]))
+        joints.append((weights[:, None] * table).reshape(-1))
     return entropy
 
 

@@ -21,6 +21,8 @@ INSTANCES = {
     "paper.adf": ["gen", "--paper-example"],
     "random.adf": ["gen", "--kind", "random-scopes", "--n", "18", "--k", "3", "--m", "12",
                    "--seed", "1"],
+    "cyclic.adf": ["gen", "--kind", "adjacent-cyclic", "--n", "40", "--k", "5", "--codomain",
+                   "four-optima", "--seed", "1"],
 }
 
 

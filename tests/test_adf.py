@@ -1,5 +1,6 @@
 """Core instance type: projection, evaluation, generators, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -217,6 +218,20 @@ class TestSerialization:
         back = parse(serialize(inst))
         assert back.wgb == (Visibility.GRAY, Visibility.BLACK)
         assert back.name == "shadowed"
+
+    @pytest.mark.parametrize("name", ["a\nb", " x ", '"quoted"', "tab\tin\u2028side"])
+    def test_unsafe_name_round_trips_quoted(self, name):
+        text = serialize(make_instance(1, [(0,)], [(0, 1)], name=name))
+        assert text.splitlines()[0] == f"# name: {json.dumps(name)}"
+        assert parse(text).name == name
+
+    def test_plain_name_written_as_is(self):
+        text = serialize(make_instance(1, [(0,)], [(0, 1)], name="café #1: x\\y"))
+        assert text.splitlines()[0] == "# name: café #1: x\\y"
+
+    def test_malformed_quoted_name(self):
+        with pytest.raises(ParseError, match="line 1: malformed quoted name"):
+            parse('# name: "open\nadf 1 1\nsub 1 0 0 1\n')
 
     def test_projection_stable_across_round_trip(self):
         inst = paper_example()

@@ -1,12 +1,12 @@
 """Property tests for the configuration-index codec, instance round trips,
 the shared table collapse, the one-sweep marginal enumeration, the
-elimination routine and the junction-tree FDA model.
+elimination routine, the junction-tree FDA model and its entropy, and the
+climber's delta cache.
 
 networkx serves only as an independent oracle for chordality and maximal
 cliques; the tests are skipped where it is not installed.
 """
 
-import string
 from itertools import combinations, product
 
 import numpy as np
@@ -18,18 +18,24 @@ nx = pytest.importorskip("networkx")
 from hypothesis import given, settings, strategies as st
 
 from graybox.adf import (
+    ADJACENT_CYCLIC,
+    CODOMAIN_FOUR_OPTIMA,
+    RANDOM_SCOPES,
     AdfInstance,
+    GeneratorSpec,
     Subfunction,
     Visibility,
     collapse,
     config_bits,
     config_index,
+    generate,
     parse,
     project,
     serialize,
     serialize_json,
 )
-from graybox.fda import FactorParams, model_probability, sample
+from graybox.climb import apply_flip, delta_flip, init_state
+from graybox.fda import FactorParams, Population, estimate, model_entropy, model_probability, sample
 from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
@@ -84,8 +90,7 @@ def test_config_index_is_project_per_row(data, dtype):
 
 @st.composite
 def named_instances(draw):
-    """A small instance with arbitrary finite values, visibility and a
-    one-line name (the text format keeps the name on a comment line)."""
+    """A small instance with arbitrary finite values, visibility and name."""
     base = _instance(draw)
     values = st.floats(allow_nan=False, allow_infinity=False)
     subs = tuple(
@@ -94,7 +99,7 @@ def named_instances(draw):
         for sub in base.subfunctions
     )
     wgb = (draw(st.sampled_from(Visibility)), draw(st.sampled_from(Visibility)))
-    name = draw(st.text(string.ascii_letters + string.digits + " -_=(),.#:")).strip()
+    name = draw(st.text())
     return AdfInstance(n=base.n, subfunctions=subs, wgb=wgb, name=name)
 
 
@@ -216,3 +221,104 @@ def test_junction_tree_model_is_a_distribution(data):
     drawn = sample(factorization, certain, 5, rng).solutions
     assert (drawn == drawn[0]).all()
     assert model_probability(factorization, certain, tuple(drawn[0])) == 1.0
+
+
+def _entropy_oracle(factorization, params) -> float:
+    """model_entropy as a per-row loop: weights come from collapsing the
+    joint of the first earlier factor whose scope covers the conditioning
+    set, and each row's entropy is the sum of its own nonzero terms."""
+    entropy = 0.0
+    scopes, joints = [], []
+    for f, table in zip(factorization.factors, params.tables):
+        if f.cond:
+            cover = next(j for j, scope in enumerate(scopes) if set(f.cond) <= set(scope))
+            weights = collapse(joints[cover], scopes[cover], f.cond)
+        else:
+            weights = np.ones(1)
+        terms = []
+        for c, w in enumerate(weights):
+            if w > 0:
+                nz = table[c][table[c] > 0]
+                terms.append(w * float(-(nz * np.log2(nz)).sum()))
+        entropy += float(sum(terms))
+        scopes.append(f.cond + f.new)
+        joints.append((weights[:, None] * table).reshape(-1))
+    return entropy
+
+
+def _junction_tree_model(draw, smoothing: float, wide: bool):
+    """The junction-tree factorization of a random structure on n <= 12
+    variables, with parameters estimated from a random, possibly biased
+    population. A wide model adds a scope of 8 or 9 variables and roots the
+    tree at a clique holding it, so the first factor has rows of 256 or 512
+    entries."""
+    n = draw(st.integers(8 if wide else 1, 12))
+    scopes = [tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, min(n, 4)))])
+              for _ in range(draw(st.integers(1, 6)))]
+    if wide:
+        scopes.append(tuple(draw(st.permutations(range(n)))[: draw(st.integers(8, min(n, 9)))]))
+    instance = AdfInstance(n=n, subfunctions=tuple(
+        Subfunction(scope, (0.0,) * (1 << len(scope))) for scope in scopes))
+    jt = junction_tree(triangulate(build_vig(instance), MIN_FILL))
+    if wide:
+        root = next(i for i, c in enumerate(jt.cliques) if set(scopes[-1]) <= set(c))
+    else:
+        root = draw(st.integers(0, len(jt.cliques) - 1))
+    factorization = factorization_from_jt(jt, root)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ones = rng.random(n) ** 3
+    bits = (rng.random((draw(st.integers(1, 80)), n)) < ones).astype(np.uint8)
+    return factorization, estimate(factorization, Population(bits), smoothing)
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 1.0])
+@pytest.mark.parametrize("wide", [False, True])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_model_entropy_equals_per_row_oracle_and_brute_force(data, smoothing, wide):
+    factorization, params = _junction_tree_model(data.draw, smoothing, wide)
+    if wide:
+        assert len(factorization.factors[0].new) >= 8
+    entropy = model_entropy(factorization, params)
+    assert entropy == _entropy_oracle(factorization, params)
+    probs = np.array([model_probability(factorization, params, x)
+                      for x in product((0, 1), repeat=factorization.n)])
+    probs = probs[probs > 0]
+    assert entropy == pytest.approx(float(-(probs * np.log2(probs)).sum()), abs=1e-9)
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 1.0])
+@pytest.mark.parametrize("spec, root_width", [
+    (GeneratorSpec(ADJACENT_CYCLIC, n=40, k=5, seed=1, codomain=CODOMAIN_FOUR_OPTIMA), 9),
+    (GeneratorSpec(RANDOM_SCOPES, n=30, k=4, m=30, seed=3), 1),
+], ids=["cyclic-n40", "random-n30"])
+def test_model_entropy_equals_oracle_on_generated_instances(spec, root_width, smoothing):
+    """On adjacent-cyclic n=40 k=5 the root factor has 9 new variables, so
+    rows have 512 entries, most of them 0 at smoothing 0. On random-scopes
+    n=30 some conditioning sets have more than one covering factor, and
+    collapsing another one than the first changes the float bits."""
+    instance = generate(spec)
+    factorization = factorization_from_jt(
+        junction_tree(triangulate(build_vig(instance), MIN_FILL)), 0)
+    assert len(factorization.factors[0].new) >= root_width
+    rng = np.random.default_rng(5)
+    for size in (20, 300):
+        bits = rng.integers(0, 2, (size, instance.n), dtype=np.uint8)
+        params = estimate(factorization, Population(bits), smoothing)
+        assert model_entropy(factorization, params) == _entropy_oracle(factorization, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_flip_keeps_delta_cache_exact(data):
+    """Integer codomains make every delta exact, so the cache must equal a
+    fresh delta_flip bit for bit after each flip of a random sequence."""
+    instance = _instance(data.draw)
+    n = instance.n
+    start = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    state = init_state(instance, start)
+    for v in data.draw(st.lists(st.integers(0, n - 1), max_size=30)):
+        apply_flip(state, v)
+        assert state.deltas == [delta_flip(state, u) for u in range(n)]
+        assert state.improving == {u for u in range(n) if state.deltas[u] > 0}
+        assert state.fitness == instance.evaluate(state.bits)
