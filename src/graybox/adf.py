@@ -404,7 +404,7 @@ def _parse_text(text: str) -> AdfInstance:
                     try:
                         name = json.loads(name)
                     except json.JSONDecodeError:
-                        raise ParseError(f"line {lineno}: malformed quoted name") from None
+                        pass  # free text that only looks quoted: keep it raw
             continue
         fields = line.split()
         tag = fields[0]

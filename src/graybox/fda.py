@@ -246,7 +246,9 @@ def _weighted_row_entropy(table: np.ndarray, weights: np.ndarray) -> float:
         rows = np.flatnonzero(counts == m)
         p = table[rows][nz[rows]].reshape(len(rows), m)
         h[rows] = -(p * np.log2(p)).sum(axis=1)
-    return sum((weights * h)[weights > 0].tolist())
+    # Iterate np.float64 items: Python's sum() compensates exact floats from
+    # 3.12 on (so no .tolist() and no math.fsum), which would change bits.
+    return float(sum((weights * h)[weights > 0]))
 
 
 def model_entropy(factorization: Factorization, params: FactorParams) -> float:

@@ -229,9 +229,11 @@ class TestSerialization:
         text = serialize(make_instance(1, [(0,)], [(0, 1)], name="café #1: x\\y"))
         assert text.splitlines()[0] == "# name: café #1: x\\y"
 
-    def test_malformed_quoted_name(self):
-        with pytest.raises(ParseError, match="line 1: malformed quoted name"):
-            parse('# name: "open\nadf 1 1\nsub 1 0 0 1\n')
+    @pytest.mark.parametrize("raw", ['"open', '"foo" bar'])
+    def test_malformed_quoted_name_kept_raw(self, raw):
+        inst = parse(f"# name: {raw}\nadf 1 1\nsub 1 0 0 1\n")
+        assert inst.name == raw
+        assert parse(serialize(inst)).name == raw
 
     def test_projection_stable_across_round_trip(self):
         inst = paper_example()

@@ -34,7 +34,7 @@ from graybox.adf import (
     serialize,
     serialize_json,
 )
-from graybox.climb import apply_flip, delta_flip, init_state
+from graybox.climb import apply_flip, init_state
 from graybox.fda import FactorParams, Population, estimate, model_entropy, model_probability, sample
 from graybox.graphs import (
     MIN_DEGREE,
@@ -311,14 +311,18 @@ def test_model_entropy_equals_oracle_on_generated_instances(spec, root_width, sm
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_apply_flip_keeps_delta_cache_exact(data):
-    """Integer codomains make every delta exact, so the cache must equal a
-    fresh delta_flip bit for bit after each flip of a random sequence."""
+    """Integer codomains make every delta exact, so after each flip of a
+    random sequence the cache must equal a re-evaluation of every neighbour."""
     instance = _instance(data.draw)
     n = instance.n
     start = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     state = init_state(instance, start)
     for v in data.draw(st.lists(st.integers(0, n - 1), max_size=30)):
         apply_flip(state, v)
-        assert state.deltas == [delta_flip(state, u) for u in range(n)]
+        fitness = instance.evaluate(state.bits)
+        neighbours = [list(state.bits) for _ in range(n)]
+        for u, flipped in enumerate(neighbours):
+            flipped[u] ^= 1
+        assert state.deltas == [instance.evaluate(x) - fitness for x in neighbours]
         assert state.improving == {u for u in range(n) if state.deltas[u] > 0}
-        assert state.fitness == instance.evaluate(state.bits)
+        assert state.fitness == fitness
