@@ -3,9 +3,8 @@
 Submodules:
   adf        instance types, evaluation, generators, file formats
   graphs     interaction/factor graphs, triangulation, junction trees,
-             factorizations, tree-width
-  marginals  exhaustive marginal statistics, Boltzmann distributions,
-             deception reports
+             factorizations
+  marginals  exhaustive marginal statistics, deception reports
   fda        fixed-structure factorized distribution algorithm
   climb      delta-evaluating hill climber with pair moves
   replicate  worked-example table replication against golden copies
@@ -43,18 +42,14 @@ from .graphs import (
     JunctionTree,
     build_factor_graph,
     build_vig,
-    exact_treewidth,
     factorization_from_jt,
     junction_tree,
-    treewidth_estimate,
     triangulate,
     univariate_factorization,
 )
 from .marginals import (
-    BoltzmannDistribution,
     DeceptionReport,
     MarginalTable,
-    boltzmann,
     deception_report,
     enumerate_marginal,
     enumerate_marginals,

@@ -140,7 +140,6 @@ class AdfInstance:
             except StructuralError as exc:
                 raise StructuralError(f"subfunction {i}: {exc}") from None
         object.__setattr__(self, "_batch_tables", None)
-        object.__setattr__(self, "_incidence", None)
 
     @property
     def m(self) -> int:
@@ -169,16 +168,6 @@ class AdfInstance:
         for scope, codomain in self._tables():
             total += codomain[config_index(bits, scope)]
         return total
-
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each variable, the indices of the subfunctions containing it."""
-        if self._incidence is None:
-            inc = [[] for _ in range(self.n)]
-            for a, sub in enumerate(self.subfunctions):
-                for v in sub.scope:
-                    inc[v].append(a)
-            object.__setattr__(self, "_incidence", tuple(tuple(x) for x in inc))
-        return self._incidence
 
     def _tables(self):
         if self._batch_tables is None:

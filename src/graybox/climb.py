@@ -93,14 +93,6 @@ class DeltaState:
             self.eval_count += 1
         return d
 
-    def degree(self, v: int) -> int:
-        """c_v: the number of subfunctions containing v."""
-        return len(self._flips[v])
-
-    def improving_moves(self) -> dict[int, float]:
-        """Strictly improving single flips with their cached deltas."""
-        return {v: self.deltas[v] for v in sorted(self.improving)}
-
 
 def init_state(instance: AdfInstance, start: Bits) -> DeltaState:
     """Build all caches with one full evaluation pass."""

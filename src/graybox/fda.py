@@ -26,7 +26,6 @@ __all__ = [
     "GenerationStats",
     "FdaResult",
     "select",
-    "selection_probabilities",
     "estimate",
     "sample",
     "model_probability",
@@ -54,8 +53,8 @@ class BoltzmannSelection:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigError(f"selection beta must be nonnegative, got {self.beta}")
+        if not math.isfinite(self.beta) or self.beta < 0:
+            raise ConfigError(f"selection beta must be finite and nonnegative, got {self.beta}")
 
 
 SelectionMethod = TruncationSelection | BoltzmannSelection
@@ -67,7 +66,6 @@ class Population:
 
     solutions: np.ndarray
     fitnesses: np.ndarray | None = None
-    generation: int = 0
 
     def __post_init__(self):
         self.solutions = np.asarray(self.solutions, dtype=np.uint8)
@@ -88,7 +86,6 @@ class FactorParams:
     """Per-factor conditional probability tables, shaped (2^|cond|, 2^|new|)."""
 
     tables: tuple[np.ndarray, ...]
-    smoothing: float
 
 
 @dataclass(frozen=True)
@@ -104,22 +101,14 @@ class FdaConfig:
     def __post_init__(self):
         if self.population_size < 1:
             raise ConfigError("population size must be at least 1")
-        if self.smoothing < 0:
-            raise ConfigError("smoothing must be nonnegative")
+        if not math.isfinite(self.smoothing) or self.smoothing < 0:
+            raise ConfigError(f"smoothing must be finite and nonnegative, got {self.smoothing}")
+        if self.target_fitness is not None and not math.isfinite(self.target_fitness):
+            raise ConfigError(f"target fitness must be finite, got {self.target_fitness}")
         if self.max_generations < 0:
             raise ConfigError("max generations must be nonnegative")
         if not 0 <= self.elitism <= self.population_size:
             raise ConfigError("elitism must be between 0 and the population size")
-
-
-def _truncation_indices(fitnesses: np.ndarray, tau: float) -> np.ndarray:
-    k = max(1, math.ceil(tau * len(fitnesses)))
-    return np.argsort(-fitnesses, kind="stable")[:k]
-
-
-def _boltzmann_weights(fitnesses: np.ndarray, beta: float) -> np.ndarray:
-    w = np.exp(beta * (fitnesses - fitnesses.max()))
-    return w / w.sum()
 
 
 def select(
@@ -128,37 +117,20 @@ def select(
     rng: np.random.Generator | None = None,
 ) -> Population:
     """Selection step; Boltzmann selection resamples N solutions with replacement."""
-    if population.fitnesses is None:
+    fitnesses = population.fitnesses
+    if fitnesses is None:
         raise StructuralError("population must be evaluated before selection")
     if isinstance(method, TruncationSelection):
-        idx = _truncation_indices(population.fitnesses, method.tau)
+        k = max(1, math.ceil(method.tau * population.size))
+        idx = np.argsort(-fitnesses, kind="stable")[:k]
     elif isinstance(method, BoltzmannSelection):
         if rng is None:
             raise ConfigError("Boltzmann selection needs a random generator")
-        w = _boltzmann_weights(population.fitnesses, method.beta)
-        idx = rng.choice(population.size, size=population.size, replace=True, p=w)
+        w = np.exp(method.beta * (fitnesses - fitnesses.max()))
+        idx = rng.choice(population.size, size=population.size, replace=True, p=w / w.sum())
     else:
         raise ConfigError(f"unknown selection method {method!r}")
-    return Population(
-        solutions=population.solutions[idx],
-        fitnesses=population.fitnesses[idx],
-        generation=population.generation,
-    )
-
-
-def selection_probabilities(population: Population, method: SelectionMethod) -> np.ndarray:
-    """Per-solution selection probability: indicator/K for truncation,
-    softmax weights for Boltzmann."""
-    if population.fitnesses is None:
-        raise StructuralError("population must be evaluated first")
-    if isinstance(method, TruncationSelection):
-        idx = _truncation_indices(population.fitnesses, method.tau)
-        probs = np.zeros(population.size)
-        probs[idx] = 1.0 / len(idx)
-        return probs
-    if isinstance(method, BoltzmannSelection):
-        return _boltzmann_weights(population.fitnesses, method.beta)
-    raise ConfigError(f"unknown selection method {method!r}")
+    return Population(solutions=population.solutions[idx], fitnesses=fitnesses[idx])
 
 
 def estimate(
@@ -169,8 +141,8 @@ def estimate(
     Conditioning contexts with no mass (possible only at smoothing 0) fall
     back to the uniform distribution.
     """
-    if smoothing < 0:
-        raise ConfigError("smoothing must be nonnegative")
+    if not math.isfinite(smoothing) or smoothing < 0:
+        raise ConfigError(f"smoothing must be finite and nonnegative, got {smoothing}")
     bits = selected.solutions
     tables = []
     for f in factorization.factors:
@@ -183,7 +155,7 @@ def estimate(
         counts[empty] = 1.0
         totals[empty] = cols
         tables.append(counts / totals)
-    return FactorParams(tables=tuple(tables), smoothing=smoothing)
+    return FactorParams(tables=tuple(tables))
 
 
 def _check_params(factorization: Factorization, params: FactorParams) -> None:
@@ -333,8 +305,7 @@ def run_fda(instance: AdfInstance, factorization: Factorization, config: FdaConf
             history.append(GenerationStats(t, float(fitness.max()), float(fitness.mean()), None))
             break
 
-        population = Population(bits, fitness, generation=t)
-        selected = select(population, config.selection, rng)
+        selected = select(Population(bits, fitness), config.selection, rng)
         params = estimate(factorization, selected, config.smoothing)
         try:
             entropy = model_entropy(factorization, params)

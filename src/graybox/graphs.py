@@ -12,12 +12,10 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .adf import AdfInstance
-from .errors import CapacityError, StructuralError, VisibilityError
+from .errors import StructuralError, VisibilityError
 
 MIN_FILL = "min-fill"
 MIN_DEGREE = "min-degree"
-
-_EXACT_TREEWIDTH_LIMIT = 12
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -54,11 +52,6 @@ class FactorGraph:
 
     n: int
     scopes: tuple[tuple[int, ...], ...]
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """(variable, factor) incidence pairs."""
-        return tuple((v, a) for a, scope in enumerate(self.scopes) for v in scope)
 
 
 def _require_structure(instance: AdfInstance, operation: str) -> None:
@@ -148,11 +141,6 @@ def _min_degree(adj: list[set[int]], remaining: set[int]) -> int:
 
 
 _HEURISTICS = {MIN_FILL: _min_fill, MIN_DEGREE: _min_degree}
-
-
-def elimination_fill(graph: InteractionGraph, order: Sequence[int]) -> set[tuple[int, int]]:
-    """Fill edges produced by eliminating vertices in the given order."""
-    return _eliminate(graph, _in_order(graph.n, order))[1]
 
 
 def triangulate(
@@ -350,67 +338,6 @@ def factorization_from_jt(jt: JunctionTree, root: int) -> Factorization:
 def univariate_factorization(n: int) -> Factorization:
     """Fully independent model: one unconditioned factor per variable."""
     return Factorization(n=n, factors=tuple(Factor(new=(i,), cond=()) for i in range(n)))
-
-
-# ---------------------------------------------------------------------------
-# Tree-width
-# ---------------------------------------------------------------------------
-
-
-def treewidth_estimate(graph: InteractionGraph, heuristic: str | Sequence[int] = MIN_FILL) -> int:
-    """Max clique size minus 1 of the heuristic completion (an upper bound)."""
-    return junction_tree(triangulate(graph, heuristic)).treewidth
-
-
-def exact_treewidth(graph: InteractionGraph) -> int:
-    """Exact tree-width by dynamic programming over vertex subsets.
-
-    Exponential in n; refuses above n=12. Intended as the oracle for small
-    test fixtures only.
-    """
-    n = graph.n
-    if n > _EXACT_TREEWIDTH_LIMIT:
-        raise CapacityError(f"exact tree-width is limited to n <= {_EXACT_TREEWIDTH_LIMIT}")
-    if n == 0:
-        return -1
-    adj_mask = [0] * n
-    for u, v in graph.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-
-    def eliminated_degree(s_mask: int, v: int) -> int:
-        # Degree of v once the vertices in s_mask are eliminated: neighbors
-        # outside s_mask reachable from v through s_mask.
-        visited = 1 << v
-        frontier = 1 << v
-        outside = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                u = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                fresh = adj_mask[u] & ~visited
-                visited |= fresh
-                outside |= fresh & ~s_mask
-                nxt |= fresh & s_mask
-            frontier = nxt
-        return bin(outside & ~(1 << v)).count("1")
-
-    width = [0] * (1 << n)
-    width[0] = -1
-    for s in range(1, 1 << n):
-        best = n
-        rest = s
-        while rest:
-            v_bit = rest & -rest
-            rest ^= v_bit
-            v = v_bit.bit_length() - 1
-            prev = s ^ v_bit
-            cand = max(width[prev], eliminated_degree(prev, v))
-            if cand < best:
-                best = cand
-        width[s] = best
-    return width[(1 << n) - 1]
 
 
 # ---------------------------------------------------------------------------

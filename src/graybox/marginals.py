@@ -1,7 +1,7 @@
 """Exhaustive-enumeration statistics over small search spaces.
 
-Factor/hyperplane marginal tables, full Boltzmann distributions, and the
-deception diagnostic: a factor is deceptive when no best-statistic
+Factor/hyperplane marginal tables (sums, means and Boltzmann marginals) and
+the deception diagnostic: a factor is deceptive when no best-statistic
 configuration matches the projection of a reference optimum. Everything here
 enumerates all 2^n solutions, so operations refuse above a configurable
 variable limit instead of subsampling.
@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, _validate_scope, collapse, config_bits, config_index
+from .adf import AdfInstance, Bits, _validate_scope, config_bits, config_index
 from .adf import config_string, project
 from .errors import CapacityError, ConfigError, StructuralError
 
@@ -30,9 +30,7 @@ ENUM_LIMIT_ENV = "GRAYBOX_MAX_ENUM_VARS"
 _CHUNK_BITS = 16
 
 
-def enumeration_limit(limit: int | None = None) -> int:
-    if limit is not None:
-        return limit
+def enumeration_limit() -> int:
     value = os.environ.get(ENUM_LIMIT_ENV, str(DEFAULT_ENUM_LIMIT))
     try:
         return int(value)
@@ -40,8 +38,8 @@ def enumeration_limit(limit: int | None = None) -> int:
         raise ConfigError(f"{ENUM_LIMIT_ENV} must be an integer, got {value!r}") from None
 
 
-def _check_capacity(n: int, limit: int | None) -> None:
-    cap = enumeration_limit(limit)
+def _check_capacity(n: int) -> None:
+    cap = enumeration_limit()
     if n > cap:
         raise CapacityError(f"exhaustive enumeration refused: n={n} exceeds limit {cap}")
 
@@ -83,24 +81,11 @@ class MarginalTable:
         return len(self.scope)
 
 
-@dataclass(frozen=True)
-class BoltzmannDistribution:
-    """p(x) proportional to exp(beta * fitness(x)), over all 2^n solutions."""
-
-    n: int
-    beta: float
-    probabilities: np.ndarray
-
-    def probability(self, solution: Bits) -> float:
-        return float(self.probabilities[project(solution, range(self.n))])
-
-
 def enumerate_marginals(
     instance: AdfInstance,
     scopes: Sequence[Sequence[int]],
     kind: str = STAT_SUM,
     beta: float | None = None,
-    limit: int | None = None,
 ) -> tuple[MarginalTable, ...]:
     """Full-enumeration marginal statistic for every scope, from one sweep.
 
@@ -108,12 +93,12 @@ def enumerate_marginals(
     STAT_MEAN divides those sums by 2^(n-j); STAT_BOLTZMANN marginalizes the
     Boltzmann distribution at the given beta (guarded against overflow).
     """
-    _check_capacity(instance.n, limit)
+    _check_capacity(instance.n)
     if kind not in (STAT_SUM, STAT_MEAN, STAT_BOLTZMANN):
         raise StructuralError(f"unknown statistic kind {kind!r}")
     if kind == STAT_BOLTZMANN:
-        if beta is None or beta < 0:
-            raise StructuralError("boltzmann statistic needs beta >= 0")
+        if beta is None or not math.isfinite(beta) or beta < 0:
+            raise StructuralError(f"boltzmann statistic needs a finite beta >= 0, got {beta}")
     else:
         beta = None
     scopes = [tuple(map(int, scope)) for scope in scopes]
@@ -142,24 +127,9 @@ def enumerate_marginal(
     scope: Sequence[int],
     kind: str = STAT_SUM,
     beta: float | None = None,
-    limit: int | None = None,
 ) -> MarginalTable:
     """Full-enumeration marginal statistic for one scope (see enumerate_marginals)."""
-    return enumerate_marginals(instance, [scope], kind=kind, beta=beta, limit=limit)[0]
-
-
-def boltzmann(instance: AdfInstance, beta: float, limit: int | None = None) -> BoltzmannDistribution:
-    """Exact Boltzmann distribution; normalization subtracts the max fitness first."""
-    if beta < 0:
-        raise StructuralError("beta must be nonnegative")
-    _check_capacity(instance.n, limit)
-    probs = np.empty(1 << instance.n)
-    pos = 0
-    for _, weights in _weighted_chunks(instance, beta):
-        probs[pos : pos + len(weights)] = weights
-        pos += len(weights)
-    probs /= probs.sum()
-    return BoltzmannDistribution(n=instance.n, beta=beta, probabilities=probs)
+    return enumerate_marginals(instance, [scope], kind=kind, beta=beta)[0]
 
 
 def max_configs(table: MarginalTable) -> tuple[int, ...]:
@@ -169,18 +139,6 @@ def max_configs(table: MarginalTable) -> tuple[int, ...]:
         raise StructuralError("empty marginal table")
     best = max(values)
     return tuple(i for i, v in enumerate(values) if v == best)
-
-
-def marginalize_table(table: MarginalTable, subscope: Sequence[int]) -> MarginalTable:
-    """Collapse an additive (sum/boltzmann) table onto a subset of its scope."""
-    if table.kind == STAT_MEAN:
-        raise StructuralError("mean tables do not marginalize additively")
-    subscope = tuple(int(v) for v in subscope)
-    for v in subscope:
-        if v not in table.scope:
-            raise StructuralError(f"variable {v} not in table scope {table.scope}")
-    values = tuple(collapse(table.values, table.scope, subscope))
-    return MarginalTable(scope=subscope, kind=table.kind, values=values, n=table.n, beta=table.beta)
 
 
 @dataclass(frozen=True)
@@ -227,11 +185,9 @@ def deception_report(tables: Sequence[MarginalTable], reference_optimum: Bits) -
     return DeceptionReport(entries=tuple(entries))
 
 
-def exhaustive_optimum(
-    instance: AdfInstance, limit: int | None = None
-) -> tuple[tuple[tuple[int, ...], ...], float]:
+def exhaustive_optimum(instance: AdfInstance) -> tuple[tuple[tuple[int, ...], ...], float]:
     """All global maxima and their fitness, by brute force."""
-    _check_capacity(instance.n, limit)
+    _check_capacity(instance.n)
     best = -math.inf
     best_rows: list[np.ndarray] = []
     for bits, fitness in _weighted_chunks(instance):

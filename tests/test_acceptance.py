@@ -26,16 +26,15 @@ from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
     build_vig,
-    exact_treewidth,
     factorization_from_jt,
     junction_tree,
-    treewidth_estimate,
     triangulate,
     univariate_factorization,
 )
-from graybox.marginals import boltzmann, deception_report, enumerate_marginals
+from graybox.marginals import STAT_BOLTZMANN, deception_report, enumerate_marginals
 from graybox.fda import Population, estimate, model_probability
 from graybox.replicate import jt_scopes, load_golden, order_scopes, replicate
+from oracles import exact_treewidth
 
 PUBLISHED_FILL = frozenset(
     {(1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (2, 9), (3, 9), (4, 9), (5, 9), (6, 9)}
@@ -103,10 +102,10 @@ def test_criterion_4_treewidth_properties():
                 continue
             vig = build_vig(generate(GeneratorSpec(SEPARABLE, n=n, k=k)))
             for heuristic in (MIN_FILL, MIN_DEGREE):
-                ok = ok and treewidth_estimate(vig, heuristic) == k - 1
+                ok = ok and junction_tree(triangulate(vig, heuristic)).treewidth == k - 1
     paper_vig = build_vig(paper_example())
     exact = exact_treewidth(paper_vig)
-    ok = ok and exact == 4 and treewidth_estimate(paper_vig) == exact
+    ok = ok and exact == 4 and junction_tree(triangulate(paper_vig)).treewidth == exact
     check(4, "separable tree-width k-1 (k=2,3,4); worked example exact tree-width 4", ok)
 
 
@@ -173,7 +172,7 @@ def test_criterion_6_delta_evaluation_oracle():
                 ok = ok and got == expected
             else:
                 ok = ok and abs(got - expected) <= 1e-9
-            ok = ok and lookups == len(inst.incidence()[i])
+            ok = ok and lookups == sum(i in sub.scope for sub in inst.subfunctions)
             triples += 1
     ok = ok and triples >= 1000
     check(6, f"{triples} delta oracles exact/1e-9, lookup count equals c_i", ok)
@@ -210,11 +209,12 @@ def test_criterion_8_probability_invariants():
         generate(GeneratorSpec(ADJACENT_CYCLIC, n=11, k=3, seed=3)),
     ]
     for inst in fixtures:
+        everything = [tuple(range(inst.n))]
         for beta in (0.5, 2.0):
-            dist = boltzmann(inst, beta)
-            ok = ok and abs(dist.probabilities.sum() - 1.0) < 1e-12
-        uniform = boltzmann(inst, 0.0)
-        ok = ok and bool(np.all(uniform.probabilities == 2.0 ** -inst.n))
+            (joint,) = enumerate_marginals(inst, everything, STAT_BOLTZMANN, beta)
+            ok = ok and abs(np.sum(joint.values) - 1.0) < 1e-12
+        (uniform,) = enumerate_marginals(inst, everything, STAT_BOLTZMANN, 0.0)
+        ok = ok and bool(np.all(np.array(uniform.values) == 2.0 ** -inst.n))
 
         jt = junction_tree(triangulate(build_vig(inst)))
         rng = np.random.default_rng(inst.n)

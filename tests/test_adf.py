@@ -127,10 +127,6 @@ class TestTypes:
         assert inst.k_max == 3
         assert inst.m == 2
 
-    def test_incidence(self):
-        inst = make_instance(4, [(0, 1), (1, 2), (2, 3)], [(0,) * 4] * 3)
-        assert inst.incidence() == ((0,), (0, 1), (1, 2), (2,))
-
 
 class TestGenerate:
     def test_paper_example_shape(self):

@@ -52,6 +52,41 @@ def test_pinned_output(capsys, tmp_path, name):
         assert side.read_text() == (PINNED / f"{name}.side").read_text()
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "path", sorted(PINNED.glob("*.out")) + sorted(PINNED.glob("*.side")), ids=lambda p: p.name
+    )
+    def test_pinned_outputs(self, path):
+        text = path.read_text()
+        if path.suffix == ".out":
+            strict_json(text)
+        else:
+            for line in text.splitlines():
+                strict_json(line)
+
+    def test_fda_and_marginals_stdout(self, capsys, paper_file):
+        code, out, _ = run_cli(
+            capsys, "fda", paper_file, "--jt", "--smoothing", "0", "--max-gens", "5"
+        )
+        assert code == 0
+        strict_json(out)
+        code, out, _ = run_cli(
+            capsys, "marginals", paper_file, "--order", "4", "--stat", "boltzmann",
+            "--beta", "50", "--format", "json",
+        )
+        assert code == 0
+        strict_json(out)
+
+
 class TestGen:
     def test_paper_example_round_trip(self, paper_file):
         inst = adf.parse(open(paper_file).read())
@@ -250,6 +285,26 @@ class TestBadInput:
     def test_empty_factor_file_path(self, capsys, paper_file):
         err = self.assert_error(capsys, 2, ["fda", paper_file, "--factor-file", ""])
         assert "--factor-file" in err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+    def test_bad_boltzmann_beta(self, capsys, paper_file, beta):
+        err = self.assert_error(
+            capsys, 1,
+            ["marginals", paper_file, "--order", "3", "--stat", "boltzmann", "--beta", beta],
+        )
+        assert "beta" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--selection", "boltzmann", "--selection-beta", "nan"),
+        ("--selection", "boltzmann", "--selection-beta", "inf"),
+        ("--smoothing", "nan"),
+        ("--smoothing", "inf"),
+        ("--target", "nan"),
+        ("--target", "inf"),
+    ], ids=lambda flags: f"{flags[-2]}={flags[-1]}")
+    def test_non_finite_fda_numbers(self, capsys, paper_file, flags):
+        err = self.assert_error(capsys, 2, ["fda", paper_file, "--jt", *flags])
+        assert "finite" in err
 
 
 class TestFda:

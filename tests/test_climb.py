@@ -103,7 +103,8 @@ class TestDeltaFlip:
         for i in range(10):
             before = state.eval_count
             delta_flip(state, i)
-            assert state.eval_count - before == state.degree(i) == 3
+            c_i = sum(i in sub.scope for sub in inst.subfunctions)
+            assert state.eval_count - before == c_i == 3
 
     def test_index_error(self):
         state = init_state(paper_example(), [0] * 10)
@@ -114,12 +115,13 @@ class TestDeltaFlip:
 class TestApplyFlip:
     def test_flip_twice_restores_state(self):
         state = init_state(paper_example(), [0, 1] * 5)
-        before = (list(state.bits), state.fitness, dict(state.improving_moves()))
+        before = (list(state.bits), state.fitness, set(state.improving), list(state.deltas))
         apply_flip(state, 4)
         apply_flip(state, 4)
         assert list(state.bits) == before[0]
         assert state.fitness == pytest.approx(before[1], abs=1e-12)
-        assert state.improving_moves() == pytest.approx(before[2])
+        assert state.improving == before[2]
+        assert state.deltas == pytest.approx(before[3])
 
     def test_fitness_cache_tracks_delta(self):
         state = init_state(paper_example(), [0] * 10)
@@ -141,10 +143,9 @@ class TestApplyFlip:
                 expected = {
                     v: d for v, d in enumerate(true_deltas(inst, state.bits)) if d > 0
                 }
-                got = state.improving_moves()
-                assert set(got) == set(expected)
+                assert state.improving == set(expected)
                 for v in expected:
-                    assert got[v] == pytest.approx(expected[v], abs=1e-9)
+                    assert state.deltas[v] == pytest.approx(expected[v], abs=1e-9)
 
 
 class TestHillClimb:

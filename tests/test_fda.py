@@ -20,7 +20,6 @@ from graybox.fda import (
     run_fda,
     sample,
     select,
-    selection_probabilities,
 )
 from graybox.graphs import (
     Factor,
@@ -48,7 +47,7 @@ def boltzmann_params(instance, factorization, beta):
         totals = arr.sum(axis=1, keepdims=True)
         totals[totals == 0] = 1.0
         tables.append(arr / totals)
-    return FactorParams(tables=tuple(tables), smoothing=0.0)
+    return FactorParams(tables=tuple(tables))
 
 
 def evaluated(instance, bits):
@@ -75,20 +74,19 @@ class TestSelect:
 
     def test_boltzmann_beta_zero_is_uniform(self):
         pop = Population(np.eye(4, dtype=np.uint8), np.array([0.0, 1.0, 2.0, 3.0]))
-        probs = selection_probabilities(pop, BoltzmannSelection(beta=0.0))
-        assert np.all(probs == 0.25)
         out = select(pop, BoltzmannSelection(beta=0.0), np.random.default_rng(0))
-        assert out.size == 4
+        uniform = np.random.default_rng(0).choice(4, size=4, replace=True, p=np.full(4, 0.25))
+        assert np.array_equal(out.solutions, pop.solutions[uniform])
 
     def test_boltzmann_needs_rng(self):
         pop = Population(np.eye(2, dtype=np.uint8), np.array([0.0, 1.0]))
         with pytest.raises(ConfigError):
             select(pop, BoltzmannSelection(beta=1.0))
 
-    def test_truncation_probabilities(self):
+    def test_truncation_rounds_up(self):
         pop = Population(np.eye(4, dtype=np.uint8), np.array([0.0, 1.0, 2.0, 3.0]))
-        probs = selection_probabilities(pop, TruncationSelection(tau=0.5))
-        assert list(probs) == [0.0, 0.0, 0.5, 0.5]
+        out = select(pop, TruncationSelection(tau=0.3))  # ceil(0.3 * 4) = 2
+        assert list(out.fitnesses) == [3.0, 2.0]
 
     def test_unevaluated_rejected(self):
         pop = Population(np.eye(2, dtype=np.uint8))
@@ -145,7 +143,7 @@ class TestSample:
 
     def test_uniform_bit_frequencies(self):
         fact = univariate_factorization(6)
-        params = FactorParams(tables=tuple(np.full((1, 2), 0.5) for _ in range(6)), smoothing=0.0)
+        params = FactorParams(tables=tuple(np.full((1, 2), 0.5) for _ in range(6)))
         out = sample(fact, params, 10_000, np.random.default_rng(2))
         freq = out.solutions.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 3 * 0.5 / math.sqrt(10_000))
@@ -171,7 +169,7 @@ class TestSample:
 
     def test_shape_mismatch_rejected(self):
         fact = paper_chain()
-        bad = FactorParams(tables=tuple(np.full((1, 2), 0.5) for _ in fact.factors), smoothing=0.0)
+        bad = FactorParams(tables=tuple(np.full((1, 2), 0.5) for _ in fact.factors))
         with pytest.raises(StructuralError):
             sample(fact, bad, 5, np.random.default_rng(0))
 
@@ -185,7 +183,7 @@ class TestModelProbability:
 
     def test_uniform(self):
         fact = univariate_factorization(8)
-        params = FactorParams(tables=tuple(np.full((1, 2), 0.5) for _ in range(8)), smoothing=0.0)
+        params = FactorParams(tables=tuple(np.full((1, 2), 0.5) for _ in range(8)))
         assert model_probability(fact, params, (0, 1) * 4) == pytest.approx(2.0**-8)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -207,7 +205,7 @@ class TestModelProbability:
 class TestModelEntropy:
     def test_uniform_univariate(self):
         fact = univariate_factorization(4)
-        params = FactorParams(tables=tuple(np.full((1, 2), 0.5) for _ in range(4)), smoothing=0.0)
+        params = FactorParams(tables=tuple(np.full((1, 2), 0.5) for _ in range(4)))
         assert model_entropy(fact, params) == pytest.approx(4.0)
 
     def test_degenerate_zero(self):
@@ -295,6 +293,16 @@ class TestRunFda:
             FdaConfig(smoothing=-1)
         with pytest.raises(ConfigError):
             TruncationSelection(tau=0.0)
+        selected = Population(np.ones((4, 10), dtype=np.uint8))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                FdaConfig(smoothing=bad)
+            with pytest.raises(ConfigError, match="finite"):
+                FdaConfig(target_fitness=bad)
+            with pytest.raises(ConfigError, match="finite"):
+                BoltzmannSelection(beta=bad)
+            with pytest.raises(ConfigError, match="finite"):
+                estimate(paper_chain(), selected, smoothing=bad)
 
 
 class TestEstimateSampleConsistency:
@@ -305,7 +313,6 @@ class TestEstimateSampleConsistency:
                 np.array([[0.4, 0.1, 0.2, 0.3]]),
                 np.array([[0.7, 0.3], [0.2, 0.8]]),
             ),
-            smoothing=0.0,
         )
         rng = np.random.default_rng(0)
         kls = []

@@ -24,8 +24,6 @@ from graybox.graphs import (
     MIN_FILL,
     build_factor_graph,
     build_vig,
-    elimination_fill,
-    exact_treewidth,
     export_dot,
     factorization_from_jt,
     factorization_from_json,
@@ -33,10 +31,10 @@ from graybox.graphs import (
     jt_to_json,
     junction_tree,
     running_intersection_holds,
-    treewidth_estimate,
     triangulate,
     univariate_factorization,
 )
+from oracles import exact_treewidth
 
 # Fill edges of the published chordal completion of the ten-variable cyclic VIG.
 PUBLISHED_FILL = frozenset(
@@ -59,6 +57,11 @@ def graph(n, *edges):
 
 def sub(scope):
     return Subfunction(tuple(scope), (0.0,) * (1 << len(scope)))
+
+
+def treewidth(vig, heuristic=MIN_FILL):
+    """Tree-width of the heuristic completion (an upper bound on the exact one)."""
+    return junction_tree(triangulate(vig, heuristic)).treewidth
 
 
 class TestVig:
@@ -95,7 +98,6 @@ class TestFactorGraph:
         inst = AdfInstance(4, (sub((1, 2, 3)),))
         fg = build_factor_graph(inst)
         assert fg.scopes == ((1, 2, 3),)
-        assert fg.edges == ((1, 0), (2, 0), (3, 0))
 
     def test_paper_factor_graph(self):
         fg = build_factor_graph(paper_example())
@@ -129,8 +131,8 @@ class TestTriangulate:
             vig = build_vig(inst)
             for heuristic in (MIN_FILL, MIN_DEGREE):
                 completion = triangulate(vig, heuristic)
-                replay = elimination_fill(completion.completed(), completion.elimination_order)
-                assert replay == set()
+                replay = triangulate(completion.completed(), completion.elimination_order)
+                assert replay.fill_edges == frozenset()
 
     def test_bad_order_rejected(self):
         with pytest.raises(StructuralError):
@@ -258,12 +260,12 @@ class TestTreewidth:
     @pytest.mark.parametrize("heuristic", [MIN_FILL, MIN_DEGREE])
     def test_separable_exact(self, k, heuristic):
         inst = generate(GeneratorSpec(SEPARABLE, n=6 * k, k=k))
-        assert treewidth_estimate(build_vig(inst), heuristic) == k - 1
+        assert treewidth(build_vig(inst), heuristic) == k - 1
 
     def test_paper_exact_check(self):
         vig = build_vig(paper_example())
         assert exact_treewidth(vig) == 4
-        assert treewidth_estimate(vig) == 4
+        assert treewidth(vig) == 4
 
     def test_heuristic_upper_bounds_exact(self):
         for seed in range(10):
@@ -271,7 +273,7 @@ class TestTreewidth:
             vig = build_vig(inst)
             exact = exact_treewidth(vig)
             for heuristic in (MIN_FILL, MIN_DEGREE):
-                assert treewidth_estimate(vig, heuristic) >= exact
+                assert treewidth(vig, heuristic) >= exact
 
     def test_exact_small_graphs(self):
         assert exact_treewidth(graph(1)) == 0
@@ -285,13 +287,11 @@ class TestTreewidth:
             exact_treewidth(graph(13))
 
     def test_random_scopes_wider_than_cyclic(self):
-        cyclic = treewidth_estimate(
-            build_vig(generate(GeneratorSpec(ADJACENT_CYCLIC, n=40, k=3)))
-        )
+        cyclic = treewidth(build_vig(generate(GeneratorSpec(ADJACENT_CYCLIC, n=40, k=3))))
         estimates = []
         for seed in range(20):
             inst = generate(GeneratorSpec(RANDOM_SCOPES, n=40, k=3, m=40, seed=seed))
-            estimates.append(treewidth_estimate(build_vig(inst)))
+            estimates.append(treewidth(build_vig(inst)))
         assert np.median(estimates) > cyclic
 
 

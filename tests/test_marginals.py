@@ -1,4 +1,4 @@
-"""Exhaustive marginal statistics, Boltzmann distributions, deception reports."""
+"""Exhaustive marginal statistics, Boltzmann marginals, deception reports."""
 
 import math
 
@@ -10,6 +10,7 @@ from graybox.adf import (
     AdfInstance,
     GeneratorSpec,
     Subfunction,
+    collapse,
     generate,
     paper_example,
     project,
@@ -19,12 +20,10 @@ from graybox.marginals import (
     STAT_BOLTZMANN,
     STAT_MEAN,
     STAT_SUM,
-    boltzmann,
     deception_report,
     enumerate_marginal,
     enumerate_marginals,
     exhaustive_optimum,
-    marginalize_table,
     max_configs,
     tables_to_tsv,
 )
@@ -34,6 +33,12 @@ from graybox.replicate import jt_scopes, load_golden, order_scopes
 # order-j tables is the window starting at (t-2) mod 10.
 COL1_ORDER3 = (9, 0, 1)
 COL1_ORDER3_VALUES = (768.0, 512.0, 512.0, 512.0, 640.0, 640.0, 768.0, 768.0)
+
+
+def joint_boltzmann(instance, beta):
+    """The Boltzmann distribution over all 2^n solutions, indexed by solution id."""
+    table = enumerate_marginal(instance, tuple(range(instance.n)), STAT_BOLTZMANN, beta)
+    return np.array(table.values)
 
 
 class TestEnumerateMarginal:
@@ -91,8 +96,8 @@ class TestEnumerateMarginal:
         inst = paper_example()
         big = enumerate_marginal(inst, (1, 2, 3, 4), STAT_SUM)
         small = enumerate_marginal(inst, (2, 4), STAT_SUM)
-        collapsed = marginalize_table(big, (2, 4))
-        assert collapsed.values == pytest.approx(small.values)
+        collapsed = collapse(big.values, big.scope, (2, 4))
+        assert tuple(collapsed) == pytest.approx(small.values)
 
     def test_scope_validation(self):
         inst = paper_example()
@@ -103,10 +108,14 @@ class TestEnumerateMarginal:
         with pytest.raises(StructuralError):
             enumerate_marginal(inst, ())
 
-    def test_capacity_refusal(self):
+    def test_capacity_refusal(self, monkeypatch):
+        # the cap is inclusive: n equal to it enumerates, one above is refused
         inst = paper_example()
-        with pytest.raises(CapacityError):
-            enumerate_marginal(inst, (0, 1), limit=9)
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "10")
+        assert enumerate_marginal(inst, (0, 1)).values
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "9")
+        with pytest.raises(CapacityError, match="n=10 exceeds limit 9"):
+            enumerate_marginal(inst, (0, 1))
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "9")
@@ -124,40 +133,40 @@ class TestEnumerateMarginal:
 
 class TestBoltzmann:
     def test_beta_zero_uniform_exact(self):
-        dist = boltzmann(paper_example(), 0.0)
-        assert np.all(dist.probabilities == 2.0**-10)
+        probabilities = joint_boltzmann(paper_example(), 0.0)
+        assert np.all(probabilities == 2.0**-10)
 
     def test_sums_to_one(self):
         for beta in (0.0, 0.5, 2.0, 10.0):
-            dist = boltzmann(paper_example(), beta)
-            assert abs(dist.probabilities.sum() - 1.0) < 1e-12
-            assert np.all(dist.probabilities >= 0)
+            probabilities = joint_boltzmann(paper_example(), beta)
+            assert abs(probabilities.sum() - 1.0) < 1e-12
+            assert np.all(probabilities >= 0)
 
     def test_mode_at_optimum(self):
         for beta in (0.1, 1.0, 5.0):
-            dist = boltzmann(paper_example(), beta)
-            assert int(np.argmax(dist.probabilities)) == (1 << 10) - 1
+            probabilities = joint_boltzmann(paper_example(), beta)
+            assert int(np.argmax(probabilities)) == (1 << 10) - 1
 
     def test_two_solution_toy(self):
         inst = AdfInstance(1, (Subfunction((0,), (0.0, math.log(2.0))),))
-        dist = boltzmann(inst, 1.0)
-        assert dist.probability((1,)) == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert dist.probability((0,)) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        probabilities = joint_boltzmann(inst, 1.0)
+        assert probabilities[project((1,), (0,))] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert probabilities[project((0,), (0,))] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(StructuralError):
-            boltzmann(paper_example(), -1.0)
+            enumerate_marginal(paper_example(), (0, 1), STAT_BOLTZMANN, beta=-1.0)
 
     def test_marginal_consistent_with_full_distribution(self):
         inst = generate(GeneratorSpec(RANDOM_SCOPES, n=9, k=3, m=7, seed=3))
-        dist = boltzmann(inst, 1.5)
+        probabilities = joint_boltzmann(inst, 1.5)
         scope = (1, 4, 7)
         table = enumerate_marginal(inst, scope, STAT_BOLTZMANN, beta=1.5)
         assert abs(sum(table.values) - 1.0) < 1e-12
         direct = np.zeros(8)
         for s in range(1 << 9):
             sol = [(s >> (8 - j)) & 1 for j in range(9)]
-            direct[project(sol, scope)] += dist.probabilities[s]
+            direct[project(sol, scope)] += probabilities[s]
         assert table.values == pytest.approx(direct, abs=1e-12)
 
 
@@ -227,6 +236,7 @@ class TestExhaustiveOptimum:
         assert fitness == 2.5
         assert len(solutions) == 8
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "5")
         with pytest.raises(CapacityError):
-            exhaustive_optimum(paper_example(), limit=5)
+            exhaustive_optimum(paper_example())
