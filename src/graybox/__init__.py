@@ -53,7 +53,6 @@ from .marginals import (
     deception_report,
     enumerate_marginal,
     enumerate_marginals,
-    exhaustive_optimum,
     max_configs,
 )
 

@@ -150,7 +150,13 @@ def estimate(
         counts = np.zeros((rows, cols))
         np.add.at(counts, (config_index(bits, f.cond), config_index(bits, f.new)), 1.0)
         counts += smoothing
-        totals = counts.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            totals = counts.sum(axis=1, keepdims=True)
+        if not np.isfinite(totals).all():
+            raise ConfigError(
+                f"smoothing {smoothing} overflows the table totals of a factor over "
+                f"{len(f.new)} new variables"
+            )
         empty = totals[:, 0] == 0
         counts[empty] = 1.0
         totals[empty] = cols

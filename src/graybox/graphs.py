@@ -7,6 +7,7 @@ fixed edge order, so identical inputs always give identical structures.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -94,53 +95,86 @@ class ChordalCompletion:
         return InteractionGraph(self.base.n, frozenset(self.base.edges | self.fill_edges))
 
 
-def _eliminate(graph: InteractionGraph, pick) -> tuple[tuple[int, ...], set, list[frozenset]]:
-    """Eliminate every vertex, each time the one pick(adj, remaining) names,
-    and connect its remaining neighbours.
-
-    Returns the elimination order, the fill edges added and the elimination
-    clique of each vertex (itself plus its remaining neighbours).
-    """
-    adj = graph.adjacency()
-    remaining = set(range(graph.n))
-    order = []
-    fill = set()
-    cliques = []
-    while remaining:
-        v = pick(adj, remaining)
-        order.append(v)
-        remaining.discard(v)
-        nbrs = sorted(adj[v] & remaining)
-        for u, w in combinations(nbrs, 2):
-            if w not in adj[u]:
-                fill.add(_edge(u, w))
-                adj[u].add(w)
-                adj[w].add(u)
-        cliques.append(frozenset([v, *nbrs]))
-    return tuple(order), fill, cliques
-
-
-def _in_order(n: int, order: Sequence[int]):
-    """A pick for _eliminate that replays a given permutation of the vertices."""
+def _check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
+    order = tuple(order)
     if sorted(order) != list(range(n)):
         raise StructuralError("elimination order must be a permutation of the vertices")
-    it = iter(order)
-    return lambda adj, remaining: next(it)
+    return order
 
 
-def _min_fill(adj: list[set[int]], remaining: set[int]) -> int:
+def _eliminate(
+    graph: InteractionGraph, heuristic: str | tuple[int, ...]
+) -> tuple[tuple[int, ...], set[tuple[int, int]]]:
+    """Eliminate every vertex and connect its remaining neighbours.
+
+    The next vertex is the lowest (score, vertex) on a lazy heap: the fill
+    count for min-fill, the remaining degree for min-degree, the position for
+    an explicit order. A step changes the scores of the eliminated vertex's
+    neighbours and, for min-fill, of the common neighbours of each new fill
+    edge's endpoints; only those are rescored and pushed again, and entries
+    whose score is stale are skipped when popped. Returns the elimination
+    order and the fill edges.
+    """
+    adj = graph.adjacency()  # remaining vertices only
+    # For min-fill, links[x] counts the edges among x's remaining neighbours,
+    # kept up to date edge by edge; x's fill count is its number of
+    # neighbour pairs less links[x].
+    min_fill = heuristic == MIN_FILL
+    links = [sum(len(adj[u] & nbrs) for u in nbrs) // 2 for nbrs in adj] if min_fill else []
+
     def fill_count(v: int) -> int:
-        nbrs = [u for u in adj[v] if u in remaining]
-        return sum(1 for u, w in combinations(nbrs, 2) if w not in adj[u])
+        d = len(adj[v])
+        return d * (d - 1) // 2 - links[v]
 
-    return min(remaining, key=lambda u: (fill_count(u), u))
+    def degree(v: int) -> int:
+        return len(adj[v])
 
-
-def _min_degree(adj: list[set[int]], remaining: set[int]) -> int:
-    return min(remaining, key=lambda u: (len(adj[u] & remaining), u))
-
-
-_HEURISTICS = {MIN_FILL: _min_fill, MIN_DEGREE: _min_degree}
+    if min_fill:
+        score = fill_count
+    elif heuristic == MIN_DEGREE:
+        score = degree
+    else:
+        score = {v: i for i, v in enumerate(heuristic)}.__getitem__
+    scores = [score(v) for v in range(graph.n)]
+    heap = [(s, v) for v, s in enumerate(scores)]
+    heapq.heapify(heap)
+    order = []
+    fill = set()
+    while heap:
+        s, v = heapq.heappop(heap)
+        if s != scores[v]:
+            continue
+        scores[v] = None
+        order.append(v)
+        nbrs = sorted(adj[v])
+        touched = set(nbrs)
+        for u in nbrs:
+            adj[u].discard(v)
+            if min_fill:  # v leaves with its edges to u's other neighbours
+                links[u] -= len(adj[u] & adj[v])
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
+                if w not in adj[u]:
+                    if min_fill:
+                        # (u, w) becomes an edge among each common
+                        # neighbour's neighbours, and w arrives among u's
+                        # neighbours linked to every common one (and back).
+                        common = adj[u] & adj[w]
+                        for x in common:
+                            links[x] += 1
+                        links[u] += len(common)
+                        links[w] += len(common)
+                        touched |= common
+                    adj[u].add(w)
+                    adj[w].add(u)
+                    fill.add((u, w))
+        if isinstance(heuristic, str):
+            for u in touched:
+                s = score(u)
+                if s != scores[u]:
+                    scores[u] = s
+                    heapq.heappush(heap, (s, u))
+    return tuple(order), fill
 
 
 def triangulate(
@@ -152,12 +186,10 @@ def triangulate(
     is deterministic for a given heuristic.
     """
     if not isinstance(heuristic, str):
-        pick = _in_order(graph.n, tuple(heuristic))
-    elif heuristic in _HEURISTICS:
-        pick = _HEURISTICS[heuristic]
-    else:
+        heuristic = _check_order(graph.n, heuristic)
+    elif heuristic not in (MIN_FILL, MIN_DEGREE):
         raise StructuralError(f"unknown triangulation heuristic {heuristic!r}")
-    order, fill, _ = _eliminate(graph, pick)
+    order, fill = _eliminate(graph, heuristic)
     return ChordalCompletion(graph, frozenset(fill), order)
 
 
@@ -188,44 +220,107 @@ class JunctionTree:
 def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     """Maximal cliques plus a maximum-separator-weight spanning tree.
 
+    The tree is the one Kruskal builds over all clique pairs with the key
+    (-|separator|, i, j), weight-0 edges joining disconnected components with
+    empty separators; it is found without scoring the pairs. Every clique
+    tree lies in the reduced clique graph (Galinier, Habib & Paul 1995): for
+    each separator S of one clique tree, the cliques holding S fall into
+    parts, split by the edges labelled S, and Kruskal may join only cliques
+    of different parts with separator S. Heavier edges have joined each part
+    before those pairs come up and no other separator joins two parts, so
+    Kruskal keeps (m, lowest id of each other part), m the lowest id holding
+    S. Components then join clique 0 through their lowest clique id.
+
     Raises StructuralError if replaying the completion's elimination order
     on the completed graph would still need fill (i.e. it is not chordal).
     """
     full = completion.completed()
-    _, fill, elim_cliques = _eliminate(full, _in_order(full.n, completion.elimination_order))
-    if fill:
-        raise StructuralError(
-            f"graph is not chordal along the elimination order: missing edges {sorted(fill)}"
-        )
+    order = _check_order(full.n, completion.elimination_order)
+    position = [0] * full.n
+    for i, v in enumerate(order):
+        position[v] = i
+    later = [
+        {u for u in nbrs if position[u] > position[v]}
+        for v, nbrs in enumerate(full.adjacency())
+    ]
 
-    maximal = [c for c in elim_cliques if not any(c < d for d in elim_cliques)]
-    cliques = sorted(set(tuple(sorted(c)) for c in maximal))
+    # One clique tree from the elimination order (Blair & Peyton 1993), walked
+    # backwards. The follower f of v is its first later-eliminated neighbour;
+    # the order is perfect iff every later[v] - {f} lies in later[f]. v joins
+    # the clique of f if that clique is still exactly {f} | later[f] and
+    # later[v] equals it; otherwise v starts a clique joined to the clique of
+    # f by the separator later[v]. A clique's vertices are then those of its
+    # last joined vertex, whose elimination clique is maximal. A vertex with
+    # no later neighbour starts the first clique of a new component.
+    bottom: list[int] = []
+    component: list[int] = []
+    clique_of = [0] * full.n
+    tree = []
+    for v in reversed(order):
+        k = len(bottom)  # the clique whose component v's new clique joins
+        if later[v]:
+            f = min(later[v], key=position.__getitem__)
+            if len(later[v] - later[f]) != 1:
+                _, fill = _eliminate(full, order)
+                raise StructuralError(
+                    "graph is not chordal along the elimination order: "
+                    f"missing edges {sorted(fill)}"
+                )
+            k = clique_of[f]
+            if bottom[k] == f and len(later[v]) == len(later[f]) + 1:
+                bottom[k] = v
+                clique_of[v] = k
+                continue
+            tree.append((len(bottom), k, tuple(sorted(later[v]))))
+        clique_of[v] = len(bottom)
+        bottom.append(v)
+        component.append(component[k] if later[v] else k)
 
-    # Kruskal on all clique pairs, heaviest separators first; weight-0 edges
-    # join disconnected components with empty separators.
-    candidates = sorted(
-        ((i, j) for i in range(len(cliques)) for j in range(i + 1, len(cliques))),
-        key=lambda e: (-len(set(cliques[e[0]]) & set(cliques[e[1]])), e),
-    )
-    parent = list(range(len(cliques)))
+    unsorted = [tuple(sorted(later[b] | {b})) for b in bottom]
+    rank = sorted(range(len(unsorted)), key=unsorted.__getitem__)
+    cliques = [unsorted[k] for k in rank]
+    clique_id = [0] * len(rank)
+    for i, k in enumerate(rank):
+        clique_id[k] = i
+    holding: list[list[int]] = [[] for _ in range(full.n)]
+    for i, clique in enumerate(cliques):
+        for v in clique:
+            holding[v].append(i)
+    tree_adj: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in cliques]
+    for a, b, sep in tree:
+        tree_adj[clique_id[a]].append((clique_id[b], sep))
+        tree_adj[clique_id[b]].append((clique_id[a], sep))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    separators = []
-    for i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        edges.append((i, j))
-        separators.append(tuple(sorted(set(cliques[i]) & set(cliques[j]))))
-        if len(edges) == len(cliques) - 1:
-            break
+    joins = []
+    for sep in {sep for _, _, sep in tree}:
+        # Filter the shortest holding list: intersecting them all is
+        # quadratic when one vertex is in every clique.
+        need = set(sep)
+        holders = {i for i in min((holding[v] for v in sep), key=len) if need.issubset(cliques[i])}
+        lowest = min(holders)
+        seen: set[int] = set()
+        for i in holders:
+            if i in seen:
+                continue
+            seen.add(i)
+            part = [i]
+            for c in part:
+                for d, label in tree_adj[c]:
+                    if d in holders and d not in seen and label != sep:
+                        seen.add(d)
+                        part.append(d)
+            if lowest not in part:
+                joins.append((-len(sep), lowest, min(part), sep))
+    joins.sort()
+    edges = [(i, j) for _, i, j, _ in joins]
+    separators = [sep for *_, sep in joins]
+    joined = set()
+    for m, k in enumerate(rank):
+        if component[k] not in joined:
+            joined.add(component[k])
+            if m:
+                edges.append((0, m))
+                separators.append(())
     return JunctionTree(
         n=full.n,
         cliques=tuple(cliques),

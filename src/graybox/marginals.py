@@ -185,21 +185,6 @@ def deception_report(tables: Sequence[MarginalTable], reference_optimum: Bits) -
     return DeceptionReport(entries=tuple(entries))
 
 
-def exhaustive_optimum(instance: AdfInstance) -> tuple[tuple[tuple[int, ...], ...], float]:
-    """All global maxima and their fitness, by brute force."""
-    _check_capacity(instance.n)
-    best = -math.inf
-    best_rows: list[np.ndarray] = []
-    for bits, fitness in _weighted_chunks(instance):
-        chunk_best = float(fitness.max())
-        if chunk_best > best:
-            best = chunk_best
-            best_rows = []
-        if chunk_best == best:
-            best_rows.extend(bits[fitness == best])
-    return tuple(tuple(int(b) for b in row) for row in best_rows), best
-
-
 # ---------------------------------------------------------------------------
 # Table output
 # ---------------------------------------------------------------------------

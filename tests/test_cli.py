@@ -306,6 +306,12 @@ class TestBadInput:
         err = self.assert_error(capsys, 2, ["fda", paper_file, "--jt", *flags])
         assert "finite" in err
 
+    def test_overflowing_smoothing(self, capsys, paper_file):
+        err = self.assert_error(
+            capsys, 2, ["fda", paper_file, "--jt", "--smoothing", "1e308", "--max-gens", "2"]
+        )
+        assert "overflows" in err
+
 
 class TestFda:
     def test_jt_run_reaches_target(self, capsys, paper_file, tmp_path):

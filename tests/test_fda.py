@@ -1,6 +1,7 @@
 """Selection, estimation, sampling, model probability, and the FDA loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,16 @@ class TestRunFda:
                 BoltzmannSelection(beta=bad)
             with pytest.raises(ConfigError, match="finite"):
                 estimate(paper_chain(), selected, smoothing=bad)
+
+    def test_smoothing_that_overflows_table_totals_refused(self):
+        # 32 cells of 1e308 each: the row total is not a finite float
+        selected = Population(np.ones((4, 10), dtype=np.uint8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="overflows"):
+                estimate(paper_chain(), selected, smoothing=1e308)
+            params = estimate(paper_chain(), selected, smoothing=1e300)
+        assert np.allclose(params.tables[0], 1 / 32)
 
 
 class TestEstimateSampleConsistency:

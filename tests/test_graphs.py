@@ -34,7 +34,7 @@ from graybox.graphs import (
     triangulate,
     univariate_factorization,
 )
-from oracles import exact_treewidth
+from oracles import exact_treewidth, reference_junction_tree, reference_triangulate
 
 # Fill edges of the published chordal completion of the ten-variable cyclic VIG.
 PUBLISHED_FILL = frozenset(
@@ -170,8 +170,44 @@ class TestJunctionTree:
     def test_non_chordal_input_rejected(self):
         square = graph(4, (0, 1), (1, 2), (2, 3), (0, 3))
         bogus = ChordalCompletion(square, frozenset(), (0, 1, 2, 3))
-        with pytest.raises(StructuralError, match="not chordal"):
+        with pytest.raises(StructuralError) as exc:
             junction_tree(bogus)
+        assert str(exc.value) == (
+            "graph is not chordal along the elimination order: missing edges [(1, 3)]"
+        )
+
+    def test_non_chordal_message_lists_every_replayed_fill(self):
+        # eliminating 0 joins 1 and 4; then eliminating 1 joins 2 and 4
+        pentagon = graph(5, (0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+        bogus = ChordalCompletion(pentagon, frozenset(), (0, 1, 2, 3, 4))
+        with pytest.raises(StructuralError) as exc:
+            junction_tree(bogus)
+        assert str(exc.value) == (
+            "graph is not chordal along the elimination order: "
+            "missing edges [(1, 4), (2, 4)]"
+        )
+
+    def test_order_must_be_a_permutation(self):
+        bogus = ChordalCompletion(graph(3, (0, 1)), frozenset(), (0, 1, 1))
+        with pytest.raises(StructuralError, match="permutation"):
+            junction_tree(bogus)
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 10, 11, 40, 250, 1000])
+    def test_cyclic_sweep_equals_full_scan_reference(self, n):
+        vig = build_vig(generate(GeneratorSpec(ADJACENT_CYCLIC, n=n, k=5)))
+        for heuristic in (MIN_FILL, MIN_DEGREE):
+            completion = triangulate(vig, heuristic)
+            assert completion == reference_triangulate(vig, heuristic)
+            assert junction_tree(completion) == reference_junction_tree(completion)
+
+    def test_cyclic_ten_thousand(self):
+        vig = build_vig(generate(GeneratorSpec(ADJACENT_CYCLIC, n=10_000, k=5)))
+        jt = junction_tree(triangulate(vig))
+        assert len(jt.cliques) == 9_992
+        assert jt.treewidth == 8
+        assert len(jt.edges) == len(jt.cliques) - 1
+        for (i, j), sep in zip(jt.edges, jt.separators):
+            assert sep == tuple(sorted(set(jt.cliques[i]) & set(jt.cliques[j])))
 
     def test_running_intersection_random(self):
         for seed in range(8):

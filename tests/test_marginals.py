@@ -23,11 +23,11 @@ from graybox.marginals import (
     deception_report,
     enumerate_marginal,
     enumerate_marginals,
-    exhaustive_optimum,
     max_configs,
     tables_to_tsv,
 )
 from graybox.replicate import jt_scopes, load_golden, order_scopes
+from oracles import exhaustive_optimum
 
 # Golden-table alignment (see graybox/golden/*.tsv): column t of the published
 # order-j tables is the window starting at (t-2) mod 10.

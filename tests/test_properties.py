@@ -1,7 +1,7 @@
 """Property tests for the configuration-index codec, instance round trips,
 the shared table collapse, the one-sweep marginal enumeration, the
-elimination routine, the junction-tree FDA model and its entropy, and the
-climber's delta cache.
+elimination routine and junction tree against their full-scan references,
+the junction-tree FDA model and its entropy, and the climber's delta cache.
 
 networkx serves only as an independent oracle for chordality and maximal
 cliques; the tests are skipped where it is not installed.
@@ -35,10 +35,12 @@ from graybox.adf import (
     serialize_json,
 )
 from graybox.climb import apply_flip, init_state
+from graybox.errors import StructuralError
 from graybox.fda import FactorParams, Population, estimate, model_entropy, model_probability, sample
 from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
+    ChordalCompletion,
     InteractionGraph,
     build_vig,
     factorization_from_jt,
@@ -55,6 +57,7 @@ from graybox.marginals import (
     enumerate_marginals,
     max_configs,
 )
+from oracles import reference_junction_tree, reference_triangulate
 
 
 def _instance(draw) -> AdfInstance:
@@ -192,6 +195,47 @@ def test_junction_tree_cliques_match_networkx(graph, data):
         oracle.add_nodes_from(range(graph.n))
         assert {frozenset(c) for c in jt.cliques} == set(nx.chordal_graph_cliques(oracle))
         assert running_intersection_holds(jt)
+
+
+@st.composite
+def shaped_graphs(draw):
+    """Random, empty or complete graphs, or several random components with
+    isolated vertices among them, on 1 to 30 relabelled vertices."""
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["random", "empty", "complete", "components"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5, 0.8]))
+    if shape == "components":
+        cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=6))) | {n})
+        blocks = [range(a, b) for a, b in zip([0, *cuts], cuts)]
+    else:
+        blocks = [range(n)]
+    pairs = [p for block in blocks for p in combinations(block, 2)]
+    if shape == "empty":
+        pairs = []
+    elif shape != "complete":
+        pairs = [p for p in pairs if rng.random() < density]
+    label = draw(st.permutations(range(n)))
+    return InteractionGraph(n, frozenset(tuple(sorted((label[u], label[v]))) for u, v in pairs))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except StructuralError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_graphs(), st.data())
+def test_structure_build_equals_full_scan_reference(graph, data):
+    for heuristic in _heuristics(data.draw, graph.n):
+        completion = triangulate(graph, heuristic)
+        assert completion == reference_triangulate(graph, heuristic)
+        assert junction_tree(completion) == reference_junction_tree(completion)
+    # an order replayed without its fill: either a tree or the same error
+    bogus = ChordalCompletion(graph, frozenset(), tuple(data.draw(st.permutations(range(graph.n)))))
+    assert _outcome(junction_tree, bogus) == _outcome(reference_junction_tree, bogus)
 
 
 @settings(max_examples=40, deadline=None)
