@@ -238,6 +238,9 @@ class GeneratorSpec:
             raise ConfigError(f"unknown instance kind {self.kind!r}")
         if self.codomain not in (CODOMAIN_UNIFORM, CODOMAIN_FOUR_OPTIMA):
             raise ConfigError(f"unknown codomain source {self.codomain!r}")
+        for name, seed in (("seed", self.seed), ("codomain seed", self.codomain_seed)):
+            if seed is not None and seed < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {seed}")
         if self.kind == PAPER_EXAMPLE:
             return
         if self.n < 1 or self.k < 1:

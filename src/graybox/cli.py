@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,13 @@ def cmd_fda(args) -> int:
 def cmd_climb(args) -> int:
     if args.starts < 1:
         raise ConfigError(f"--starts must be at least 1, got {args.starts}")
+    # Checks the flags, the seed among them, before the seed drives the start generator.
+    policy = climb_mod.ClimbPolicy(
+        pivot=args.pivot,
+        pair_moves=args.pair_moves,
+        max_moves=args.max_moves,
+        seed=args.seed,
+    )
     instance = _load_instance(args.instance)
     trace_lines: list[str] = []
     trace = None
@@ -207,13 +215,7 @@ def cmd_climb(args) -> int:
         trace = lambda event: trace_lines.append(json.dumps(event, sort_keys=True))
 
     def run_one(start, seed):
-        policy = climb_mod.ClimbPolicy(
-            pivot=args.pivot,
-            pair_moves=args.pair_moves,
-            max_moves=args.max_moves,
-            seed=seed,
-        )
-        result = climb_mod.hill_climb(instance, start, policy, trace=trace)
+        result = climb_mod.hill_climb(instance, start, replace(policy, seed=seed), trace=trace)
         return {
             "start": adf.bits_to_string(start),
             "solution": adf.bits_to_string(result.solution),

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .adf import AdfInstance, Bits, project
-from .errors import StructuralError, VisibilityError
+from .errors import ConfigError, StructuralError, VisibilityError
 from .graphs import build_vig
 
 PIVOT_BEST = "best"
@@ -31,9 +31,11 @@ class ClimbPolicy:
 
     def __post_init__(self):
         if self.pivot not in (PIVOT_BEST, PIVOT_FIRST):
-            raise StructuralError(f"unknown pivot rule {self.pivot!r}")
+            raise ConfigError(f"unknown pivot rule {self.pivot!r}")
         if self.max_moves is not None and self.max_moves < 0:
-            raise StructuralError("max moves must be nonnegative")
+            raise ConfigError(f"max moves must be nonnegative, got {self.max_moves}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -197,40 +199,22 @@ def hill_climb(
             pos = 0
 
     while True:
+        move, delta = (), 0.0
         if state.improving:
-            if policy.max_moves is not None and moves >= policy.max_moves:
-                return ClimbResult(tuple(state.bits), state.fitness, moves, converged=False)
             if policy.pivot == PIVOT_BEST:
                 i = max(state.improving, key=lambda v: (state.deltas[v], -v))
             else:
                 i = pick_first()
-            delta = state.deltas[i]
-            apply_flip(state, i)
-            moves += 1
-            if trace is not None:
-                trace({"move": moves, "variables": [i], "delta": delta, "fitness": state.fitness})
-            continue
-        if policy.pair_moves:
-            best_pair = None
-            best_delta = 0.0
+            move, delta = (i,), state.deltas[i]
+        elif policy.pair_moves:
             for u, v in pair_candidates(state):
                 d = delta_pair(state, u, v)
-                if d > best_delta:
-                    best_pair, best_delta = (u, v), d
-            if best_pair is not None:
-                if policy.max_moves is not None and moves >= policy.max_moves:
-                    return ClimbResult(tuple(state.bits), state.fitness, moves, converged=False)
-                apply_flip(state, best_pair[0])
-                apply_flip(state, best_pair[1])
-                moves += 1
-                if trace is not None:
-                    trace(
-                        {
-                            "move": moves,
-                            "variables": list(best_pair),
-                            "delta": best_delta,
-                            "fitness": state.fitness,
-                        }
-                    )
-                continue
-        return ClimbResult(tuple(state.bits), state.fitness, moves, converged=True)
+                if d > delta:
+                    move, delta = (u, v), d
+        if not move or (policy.max_moves is not None and moves >= policy.max_moves):
+            return ClimbResult(tuple(state.bits), state.fitness, moves, converged=not move)
+        for v in move:
+            apply_flip(state, v)
+        moves += 1
+        if trace is not None:
+            trace({"move": moves, "variables": list(move), "delta": delta, "fitness": state.fitness})

@@ -13,22 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, bits_to_string, collapse, config_bits, config_index, project
+from .adf import AdfInstance, bits_to_string, collapse, config_bits, config_index
 from .errors import ConfigError, StructuralError
 from .graphs import Factorization
 
 __all__ = [
     "TruncationSelection",
     "BoltzmannSelection",
-    "Population",
-    "FactorParams",
     "FdaConfig",
     "GenerationStats",
     "FdaResult",
     "select",
     "estimate",
     "sample",
-    "model_probability",
     "model_entropy",
     "run_fda",
     "result_to_json",
@@ -60,34 +57,6 @@ class BoltzmannSelection:
 SelectionMethod = TruncationSelection | BoltzmannSelection
 
 
-@dataclass
-class Population:
-    """Solutions as a (N, n) 0/1 matrix; fitnesses filled in once evaluated."""
-
-    solutions: np.ndarray
-    fitnesses: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.solutions = np.asarray(self.solutions, dtype=np.uint8)
-        if self.solutions.ndim != 2 or self.solutions.shape[0] < 1:
-            raise StructuralError("population needs a nonempty (N, n) solution matrix")
-        if self.fitnesses is not None:
-            self.fitnesses = np.asarray(self.fitnesses, dtype=float)
-            if self.fitnesses.shape != (self.solutions.shape[0],):
-                raise StructuralError("fitness list length must match the population")
-
-    @property
-    def size(self) -> int:
-        return self.solutions.shape[0]
-
-
-@dataclass(frozen=True)
-class FactorParams:
-    """Per-factor conditional probability tables, shaped (2^|cond|, 2^|new|)."""
-
-    tables: tuple[np.ndarray, ...]
-
-
 @dataclass(frozen=True)
 class FdaConfig:
     population_size: int = 500
@@ -99,8 +68,12 @@ class FdaConfig:
     target_fitness: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.selection, SelectionMethod):
+            raise ConfigError(f"unknown selection method {self.selection!r}")
         if self.population_size < 1:
             raise ConfigError("population size must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not math.isfinite(self.smoothing) or self.smoothing < 0:
             raise ConfigError(f"smoothing must be finite and nonnegative, got {self.smoothing}")
         if self.target_fitness is not None and not math.isfinite(self.target_fitness):
@@ -111,39 +84,29 @@ class FdaConfig:
             raise ConfigError("elitism must be between 0 and the population size")
 
 
-def select(
-    population: Population,
-    method: SelectionMethod,
-    rng: np.random.Generator | None = None,
-) -> Population:
-    """Selection step; Boltzmann selection resamples N solutions with replacement."""
-    fitnesses = population.fitnesses
-    if fitnesses is None:
-        raise StructuralError("population must be evaluated before selection")
+def select(fitness: np.ndarray, method: SelectionMethod, rng: np.random.Generator) -> np.ndarray:
+    """Row ids of the selected solutions; Boltzmann selection resamples N with replacement."""
+    size = len(fitness)
     if isinstance(method, TruncationSelection):
-        k = max(1, math.ceil(method.tau * population.size))
-        idx = np.argsort(-fitnesses, kind="stable")[:k]
-    elif isinstance(method, BoltzmannSelection):
-        if rng is None:
-            raise ConfigError("Boltzmann selection needs a random generator")
-        w = np.exp(method.beta * (fitnesses - fitnesses.max()))
-        idx = rng.choice(population.size, size=population.size, replace=True, p=w / w.sum())
-    else:
-        raise ConfigError(f"unknown selection method {method!r}")
-    return Population(solutions=population.solutions[idx], fitnesses=fitnesses[idx])
+        return np.argsort(-fitness, kind="stable")[: max(1, math.ceil(method.tau * size))]
+    # An overflowing beta * (f - fmax) is -inf: weight 0, the beta -> inf limit.
+    with np.errstate(over="ignore"):
+        w = np.exp(method.beta * (fitness - fitness.max()))
+    return rng.choice(size, size=size, replace=True, p=w / w.sum())
 
 
 def estimate(
-    factorization: Factorization, selected: Population, smoothing: float = 1.0
-) -> FactorParams:
-    """Maximum-likelihood counts with additive smoothing per configuration.
+    factorization: Factorization, bits: np.ndarray, smoothing: float = 1.0
+) -> tuple[np.ndarray, ...]:
+    """Per-factor conditional tables, shaped (2^|cond|, 2^|new|), from the
+    rows of a (N, n) 0/1 matrix: maximum-likelihood counts with additive
+    smoothing per configuration.
 
     Conditioning contexts with no mass (possible only at smoothing 0) fall
     back to the uniform distribution.
     """
     if not math.isfinite(smoothing) or smoothing < 0:
         raise ConfigError(f"smoothing must be finite and nonnegative, got {smoothing}")
-    bits = selected.solutions
     tables = []
     for f in factorization.factors:
         rows, cols = 1 << len(f.cond), 1 << len(f.new)
@@ -161,13 +124,13 @@ def estimate(
         counts[empty] = 1.0
         totals[empty] = cols
         tables.append(counts / totals)
-    return FactorParams(tables=tuple(tables))
+    return tuple(tables)
 
 
-def _check_params(factorization: Factorization, params: FactorParams) -> None:
-    if len(params.tables) != len(factorization.factors):
-        raise StructuralError("factor parameter count does not match the factorization")
-    for f, table in zip(factorization.factors, params.tables):
+def _check_tables(factorization: Factorization, tables: tuple[np.ndarray, ...]) -> None:
+    if len(tables) != len(factorization.factors):
+        raise StructuralError("factor table count does not match the factorization")
+    for f, table in zip(factorization.factors, tables):
         expected = (1 << len(f.cond), 1 << len(f.new))
         if table.shape != expected:
             raise StructuralError(
@@ -177,37 +140,22 @@ def _check_params(factorization: Factorization, params: FactorParams) -> None:
 
 def sample(
     factorization: Factorization,
-    params: FactorParams,
+    tables: tuple[np.ndarray, ...],
     count: int,
     rng: np.random.Generator,
-) -> Population:
-    """Ancestral sampling in factorization order; the result is unevaluated."""
-    if count < 1:
-        raise ConfigError("sample count must be at least 1")
-    _check_params(factorization, params)
+) -> np.ndarray:
+    """Ancestral sampling in factorization order: a (count, n) 0/1 matrix."""
+    if count < 0:
+        raise ConfigError("sample count must be nonnegative")
+    _check_tables(factorization, tables)
     # Factorization guarantees every conditioning variable is sampled earlier.
     bits = np.zeros((count, factorization.n), dtype=np.uint8)
-    for f, table in zip(factorization.factors, params.tables):
+    for f, table in zip(factorization.factors, tables):
         cdf = np.cumsum(table, axis=1)[config_index(bits, f.cond)]
         u = rng.random(count)
         new_idx = np.minimum((cdf < u[:, None]).sum(axis=1), (1 << len(f.new)) - 1)
         bits[:, f.new] = config_bits(new_idx, len(f.new))
-    return Population(solutions=bits)
-
-
-def model_probability(
-    factorization: Factorization, params: FactorParams, solution: Bits
-) -> float:
-    """Probability the factorized model assigns to one solution."""
-    _check_params(factorization, params)
-    if len(solution) != factorization.n:
-        raise StructuralError(
-            f"solution has {len(solution)} bits, expected {factorization.n}"
-        )
-    p = 1.0
-    for f, table in zip(factorization.factors, params.tables):
-        p *= float(table[project(solution, f.cond), project(solution, f.new)])
-    return p
+    return bits
 
 
 def _weighted_row_entropy(table: np.ndarray, weights: np.ndarray) -> float:
@@ -229,7 +177,7 @@ def _weighted_row_entropy(table: np.ndarray, weights: np.ndarray) -> float:
     return float(sum((weights * h)[weights > 0]))
 
 
-def model_entropy(factorization: Factorization, params: FactorParams) -> float:
+def model_entropy(factorization: Factorization, tables: tuple[np.ndarray, ...]) -> float:
     """Exact entropy of the factorized distribution, in bits.
 
     Uses the chain rule over factors: H = sum_i sum_c p(cond_i = c) H(new_i | c).
@@ -240,12 +188,12 @@ def model_entropy(factorization: Factorization, params: FactorParams) -> float:
     one pass per distinct nonzero count rather than one per row, and give
     the same floats as summing each row's nonzeros on its own.
     """
-    _check_params(factorization, params)
+    _check_tables(factorization, tables)
     entropy = 0.0
     scopes: list[tuple[int, ...]] = []  # variable order of each stored joint
     scope_sets: list[set[int]] = []
     joints: list[np.ndarray] = []
-    for i, (f, table) in enumerate(zip(factorization.factors, params.tables)):
+    for i, (f, table) in enumerate(zip(factorization.factors, tables)):
         if not f.cond:
             weights = np.ones(1)
         else:
@@ -300,7 +248,6 @@ def run_fda(instance: AdfInstance, factorization: Factorization, config: FdaConf
     best_fit = -math.inf
     best_sol: tuple[int, ...] = ()
     history: list[GenerationStats] = []
-    generations = 0
     for t in range(config.max_generations + 1):
         top = int(np.argmax(fitness))
         if fitness[top] > best_fit:
@@ -311,38 +258,27 @@ def run_fda(instance: AdfInstance, factorization: Factorization, config: FdaConf
             history.append(GenerationStats(t, float(fitness.max()), float(fitness.mean()), None))
             break
 
-        selected = select(Population(bits, fitness), config.selection, rng)
-        params = estimate(factorization, selected, config.smoothing)
+        tables = estimate(factorization, bits[select(fitness, config.selection, rng)],
+                          config.smoothing)
         try:
-            entropy = model_entropy(factorization, params)
+            entropy = model_entropy(factorization, tables)
         except StructuralError:
             entropy = None
         history.append(GenerationStats(t, float(fitness.max()), float(fitness.mean()), entropy))
 
-        fresh = sample(factorization, params, size - config.elitism, rng) \
-            if config.elitism < size else None
-        if config.elitism:
-            keep = np.argsort(-fitness, kind="stable")[: config.elitism]
-            elite_bits, elite_fit = bits[keep], fitness[keep]
-        if fresh is None:
-            bits, fitness = elite_bits, elite_fit
-        else:
-            fresh_fit = instance.evaluate_batch(fresh.solutions)
-            if config.elitism:
-                bits = np.vstack([fresh.solutions, elite_bits])
-                fitness = np.concatenate([fresh_fit, elite_fit])
-            else:
-                bits, fitness = fresh.solutions, fresh_fit
-        generations = t + 1
+        # Sampled rows, then the elite best first; elitism 0 keeps no row and
+        # elitism N samples none.
+        keep = np.argsort(-fitness, kind="stable")[: config.elitism]
+        fresh = sample(factorization, tables, size - config.elitism, rng)
+        bits = np.vstack([fresh, bits[keep]])
+        fitness = np.concatenate([instance.evaluate_batch(fresh), fitness[keep]])
 
-    success = None
-    if config.target_fitness is not None:
-        success = best_fit >= config.target_fitness
+    success = None if config.target_fitness is None else best_fit >= config.target_fitness
     return FdaResult(
         best_solution=best_sol,
         best_fitness=best_fit,
         history=tuple(history),
-        generations=generations,
+        generations=len(history) - 1,
         success=success,
         config=config,
     )

@@ -57,7 +57,10 @@ def _weighted_chunks(
     if beta is not None:
         fmax = max(float(fitness.max()) for _, fitness in _weighted_chunks(instance))
         for bits, fitness in _weighted_chunks(instance):
-            yield bits, np.exp(beta * (fitness - fmax))
+            # An overflowing beta * (f - fmax) is -inf: weight 0, the beta -> inf limit.
+            with np.errstate(over="ignore"):
+                weights = np.exp(beta * (fitness - fmax))
+            yield bits, weights
         return
     total = 1 << instance.n
     step = min(total, 1 << _CHUNK_BITS)

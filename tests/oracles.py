@@ -8,13 +8,14 @@ from itertools import combinations
 
 import numpy as np
 
-from graybox.adf import AdfInstance, config_bits
+from graybox.adf import AdfInstance, config_bits, project
 from graybox.errors import CapacityError, StructuralError
 from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
     ChordalCompletion,
     InteractionGraph,
+    Factorization,
     JunctionTree,
 )
 from graybox.marginals import enumeration_limit
@@ -175,3 +176,14 @@ def exhaustive_optimum(instance: AdfInstance) -> tuple[tuple[tuple[int, ...], ..
     fitness = instance.evaluate_batch(bits)
     best = float(fitness.max())
     return tuple(tuple(int(b) for b in row) for row in bits[fitness == best]), best
+
+
+def model_probability(factorization: Factorization, tables, solution) -> float:
+    """Probability the factorized model with conditional tables `tables`
+    assigns to one solution: the product of one table entry per factor."""
+    if len(tables) != len(factorization.factors) or len(solution) != factorization.n:
+        raise StructuralError("tables or solution do not match the factorization")
+    p = 1.0
+    for f, table in zip(factorization.factors, tables):
+        p *= float(table[project(solution, f.cond), project(solution, f.new)])
+    return p

@@ -32,9 +32,9 @@ from graybox.graphs import (
     univariate_factorization,
 )
 from graybox.marginals import STAT_BOLTZMANN, deception_report, enumerate_marginals
-from graybox.fda import Population, estimate, model_probability
+from graybox.fda import estimate
 from graybox.replicate import jt_scopes, load_golden, order_scopes, replicate
-from oracles import exact_treewidth
+from oracles import exact_treewidth, model_probability
 
 PUBLISHED_FILL = frozenset(
     {(1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (2, 9), (3, 9), (4, 9), (5, 9), (6, 9)}
@@ -219,14 +219,12 @@ def test_criterion_8_probability_invariants():
         jt = junction_tree(triangulate(build_vig(inst)))
         rng = np.random.default_rng(inst.n)
         for fact in (factorization_from_jt(jt, root=0), univariate_factorization(inst.n)):
-            params = estimate(
-                fact,
-                Population(rng.integers(0, 2, size=(40, inst.n), dtype=np.uint8)),
-                smoothing=1.0,
+            tables = estimate(
+                fact, rng.integers(0, 2, size=(40, inst.n), dtype=np.uint8), smoothing=1.0
             )
             total = sum(
                 model_probability(
-                    fact, params, [(s >> (inst.n - 1 - j)) & 1 for j in range(inst.n)]
+                    fact, tables, [(s >> (inst.n - 1 - j)) & 1 for j in range(inst.n)]
                 )
                 for s in range(1 << inst.n)
             )

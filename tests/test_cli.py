@@ -5,6 +5,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestStrictJson:
 
 class TestGen:
     def test_paper_example_round_trip(self, paper_file):
-        inst = adf.parse(open(paper_file).read())
+        inst = adf.parse(Path(paper_file).read_text())
         assert inst == adf.paper_example()
 
     def test_deterministic_output(self, capsys):
@@ -215,6 +216,23 @@ class TestMarginalsAndDeception:
         assert code == 2
         assert "--beta" in err
 
+    def test_huge_finite_beta_is_the_argmax_limit(self, capsys, paper_file):
+        # beta * (f - fmax) overflows to -inf off the optimum 1111111111;
+        # a RuntimeWarning would reach stderr, here it raises instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "marginals", paper_file, "--scopes", "0,1", "--stat", "boltzmann",
+                "--beta", "1e308", "--format", "json",
+            )
+            assert (code, err) == (0, "")
+            assert json.loads(out)[0]["values"] == {"00": 0.0, "01": 0.0, "10": 0.0, "11": 1.0}
+            code, _, err = run_cli(
+                capsys, "fda", paper_file, "--jt", "--selection", "boltzmann",
+                "--selection-beta", "1e308", "--max-gens", "3",
+            )
+            assert (code, err) == (0, "")
+
     def test_boltzmann_stat_tables(self, capsys, paper_file):
         code, out, _ = run_cli(
             capsys, "marginals", paper_file, "--scopes", "0,1", "--stat", "boltzmann",
@@ -305,6 +323,20 @@ class TestBadInput:
     def test_non_finite_fda_numbers(self, capsys, paper_file, flags):
         err = self.assert_error(capsys, 2, ["fda", paper_file, "--jt", *flags])
         assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--kind", "adjacent-cyclic", "--n", "4", "--k", "3", "--seed", "-1"),
+        ("gen", "--kind", "adjacent-cyclic", "--n", "4", "--k", "3", "--codomain-seed", "-1"),
+        ("fda", "PAPER", "--jt", "--seed", "-1"),
+        ("climb", "PAPER", "--seed", "-1"),
+        ("climb", "PAPER", "--start", "0000000000", "--seed", "-1"),
+        ("climb", "PAPER", "--max-moves", "-1"),
+    ], ids=["gen-seed", "gen-codomain-seed", "fda-seed", "climb-seed", "climb-start-seed",
+            "climb-max-moves"])
+    def test_negative_seed_or_max_moves(self, capsys, paper_file, argv):
+        argv = [paper_file if a == "PAPER" else a for a in argv]
+        err = self.assert_error(capsys, 2, argv)
+        assert "nonnegative" in err
 
     def test_overflowing_smoothing(self, capsys, paper_file):
         err = self.assert_error(

@@ -22,7 +22,7 @@ from graybox.climb import (
     init_state,
     pair_candidates,
 )
-from graybox.errors import StructuralError, VisibilityError
+from graybox.errors import ConfigError, StructuralError, VisibilityError
 from graybox.graphs import build_vig
 
 
@@ -208,6 +208,22 @@ class TestHillClimb:
         assert not result.converged
         full = hill_climb(paper_example(), [0] * 10, ClimbPolicy(max_moves=50))
         assert full.converged
+
+    def test_max_moves_cuts_a_pair_move(self):
+        # 00 is a 1-bit local optimum; only the pair flip to 11 improves
+        trap = AdfInstance(n=2, subfunctions=(Subfunction((0, 1), (1.0, 0.0, 0.0, 2.0)),))
+        events = []
+        full = hill_climb(trap, [0, 0], ClimbPolicy(pair_moves=True), trace=events.append)
+        assert (full.solution, full.moves, full.converged) == ((1, 1), 1, True)
+        assert events == [{"move": 1, "variables": [0, 1], "delta": 1.0, "fitness": 2.0}]
+        cut = hill_climb(trap, [0, 0], ClimbPolicy(pair_moves=True, max_moves=0))
+        assert (cut.solution, cut.moves, cut.converged) == ((0, 0), 0, False)
+        assert hill_climb(trap, [0, 0], ClimbPolicy(max_moves=0)).converged
+
+    @pytest.mark.parametrize("kwargs", [{"pivot": "worst"}, {"max_moves": -1}, {"seed": -1}])
+    def test_bad_policy_is_a_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            ClimbPolicy(**kwargs)
 
 
 class TestPairCandidates:

@@ -36,7 +36,7 @@ from graybox.adf import (
 )
 from graybox.climb import apply_flip, init_state
 from graybox.errors import StructuralError
-from graybox.fda import FactorParams, Population, estimate, model_entropy, model_probability, sample
+from graybox.fda import estimate, model_entropy, sample
 from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
@@ -57,7 +57,7 @@ from graybox.marginals import (
     enumerate_marginals,
     max_configs,
 )
-from oracles import reference_junction_tree, reference_triangulate
+from oracles import model_probability, reference_junction_tree, reference_triangulate
 
 
 def _instance(draw) -> AdfInstance:
@@ -246,31 +246,29 @@ def test_junction_tree_model_is_a_distribution(data):
     factorization = factorization_from_jt(jt, data.draw(st.integers(0, len(jt.cliques) - 1)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shapes = [(1 << len(f.cond), 1 << len(f.new)) for f in factorization.factors]
-    tables = [rng.random(shape) for shape in shapes]
-    params = FactorParams(tuple(t / t.sum(axis=1, keepdims=True) for t in tables))
-    total = sum(model_probability(factorization, params, x)
+    tables = tuple(t / t.sum(axis=1, keepdims=True) for t in map(rng.random, shapes))
+    total = sum(model_probability(factorization, tables, x)
                 for x in product((0, 1), repeat=instance.n))
     assert total == pytest.approx(1.0, abs=1e-9)
-    drawn = sample(factorization, params, 30, rng).solutions
+    drawn = sample(factorization, tables, 30, rng)
     assert drawn.shape == (30, instance.n)
     assert set(np.unique(drawn)) <= {0, 1}
 
     # One-hot rows make the model deterministic: sampling must produce the
     # one solution the model gives probability 1, in every row.
     onehot = tuple(np.eye(cols)[rng.integers(0, cols, size=rows)] for rows, cols in shapes)
-    certain = FactorParams(onehot)
-    drawn = sample(factorization, certain, 5, rng).solutions
+    drawn = sample(factorization, onehot, 5, rng)
     assert (drawn == drawn[0]).all()
-    assert model_probability(factorization, certain, tuple(drawn[0])) == 1.0
+    assert model_probability(factorization, onehot, tuple(drawn[0])) == 1.0
 
 
-def _entropy_oracle(factorization, params) -> float:
+def _entropy_oracle(factorization, tables) -> float:
     """model_entropy as a per-row loop: weights come from collapsing the
     joint of the first earlier factor whose scope covers the conditioning
     set, and each row's entropy is the sum of its own nonzero terms."""
     entropy = 0.0
     scopes, joints = [], []
-    for f, table in zip(factorization.factors, params.tables):
+    for f, table in zip(factorization.factors, tables):
         if f.cond:
             cover = next(j for j, scope in enumerate(scopes) if set(f.cond) <= set(scope))
             weights = collapse(joints[cover], scopes[cover], f.cond)
@@ -309,7 +307,7 @@ def _junction_tree_model(draw, smoothing: float, wide: bool):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ones = rng.random(n) ** 3
     bits = (rng.random((draw(st.integers(1, 80)), n)) < ones).astype(np.uint8)
-    return factorization, estimate(factorization, Population(bits), smoothing)
+    return factorization, estimate(factorization, bits, smoothing)
 
 
 @pytest.mark.parametrize("smoothing", [0.0, 1.0])
@@ -317,12 +315,12 @@ def _junction_tree_model(draw, smoothing: float, wide: bool):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_model_entropy_equals_per_row_oracle_and_brute_force(data, smoothing, wide):
-    factorization, params = _junction_tree_model(data.draw, smoothing, wide)
+    factorization, tables = _junction_tree_model(data.draw, smoothing, wide)
     if wide:
         assert len(factorization.factors[0].new) >= 8
-    entropy = model_entropy(factorization, params)
-    assert entropy == _entropy_oracle(factorization, params)
-    probs = np.array([model_probability(factorization, params, x)
+    entropy = model_entropy(factorization, tables)
+    assert entropy == _entropy_oracle(factorization, tables)
+    probs = np.array([model_probability(factorization, tables, x)
                       for x in product((0, 1), repeat=factorization.n)])
     probs = probs[probs > 0]
     assert entropy == pytest.approx(float(-(probs * np.log2(probs)).sum()), abs=1e-9)
@@ -345,8 +343,8 @@ def test_model_entropy_equals_oracle_on_generated_instances(spec, root_width, sm
     rng = np.random.default_rng(5)
     for size in (20, 300):
         bits = rng.integers(0, 2, (size, instance.n), dtype=np.uint8)
-        params = estimate(factorization, Population(bits), smoothing)
-        assert model_entropy(factorization, params) == _entropy_oracle(factorization, params)
+        tables = estimate(factorization, bits, smoothing)
+        assert model_entropy(factorization, tables) == _entropy_oracle(factorization, tables)
 
 
 @settings(max_examples=60, deadline=None)
