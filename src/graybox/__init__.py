@@ -9,51 +9,14 @@ Submodules:
   climb      delta-evaluating hill climber with pair moves
   replicate  worked-example table replication against golden copies
   cli        command-line interface (`graybox`)
+
+The top level holds only the README quick-start names; everything else is
+imported from its submodule.
 """
 
-from .adf import (
-    AdfInstance,
-    GeneratorSpec,
-    Subfunction,
-    Visibility,
-    generate,
-    paper_example,
-    parse,
-    project,
-    serialize,
-    serialize_json,
-)
-from .climb import ClimbPolicy, ClimbResult, DeltaState, hill_climb
-from .errors import (
-    CapacityError,
-    ConfigError,
-    GrayboxError,
-    ParseError,
-    StructuralError,
-    VisibilityError,
-)
-from .fda import FdaConfig, FdaResult, run_fda
-from .graphs import (
-    ChordalCompletion,
-    Factor,
-    FactorGraph,
-    Factorization,
-    InteractionGraph,
-    JunctionTree,
-    build_factor_graph,
-    build_vig,
-    factorization_from_jt,
-    junction_tree,
-    triangulate,
-    univariate_factorization,
-)
-from .marginals import (
-    DeceptionReport,
-    MarginalTable,
-    deception_report,
-    enumerate_marginal,
-    enumerate_marginals,
-    max_configs,
-)
+from .adf import paper_example
+from .climb import hill_climb
+from .fda import FdaConfig, run_fda
+from .graphs import build_vig, factorization_from_jt, junction_tree, triangulate
 
 __version__ = "0.1.0"

@@ -146,10 +146,6 @@ class AdfInstance:
         return len(self.subfunctions)
 
     @property
-    def k_max(self) -> int:
-        return max(sub.k for sub in self.subfunctions)
-
-    @property
     def structure_visible(self) -> bool:
         return self.wgb[0] is Visibility.WHITE
 

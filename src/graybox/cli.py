@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adf, climb as climb_mod, fda as fda_mod, graphs, marginals, replicate
-from .errors import ConfigError, GrayboxError, ParseError
+from .errors import ConfigError, GrayboxError, ParseError, StructuralError
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -47,6 +48,12 @@ def _parse_ints(spec: str, flag: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in spec.split(","))
     except ValueError:
         raise ConfigError(f"{flag} takes comma-separated integers, got {spec!r}") from None
+
+
+def _require_finite(value: float | None, flag: str, error: type[GrayboxError]) -> None:
+    """Refuse nan and +-inf for `flag`, whether or not the chosen method reads it."""
+    if value is not None and not math.isfinite(value):
+        raise error(f"{flag} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,46 +88,35 @@ def cmd_analyze(args) -> int:
     if args.elimination_order is not None:
         heuristic = _parse_ints(args.elimination_order, "--elimination-order")
 
+    # Each view: its JSON document, its DOT object (None: plain text) and its
+    # format when --format is not given.
     if args.vig:
         vig = graphs.build_vig(instance)
-        if args.format == "json":
-            doc = {"n": vig.n, "edges": [list(e) for e in sorted(vig.edges)]}
-            _emit(_json_text(doc), args.out)
-        else:
-            _emit(graphs.export_dot(vig), args.out)
-        return 0
-    if args.factor_graph:
+        view = {"n": vig.n, "edges": [list(e) for e in sorted(vig.edges)]}, vig, "dot"
+    elif args.factor_graph:
         fg = graphs.build_factor_graph(instance)
-        if args.format == "json":
-            doc = {"n": fg.n, "scopes": [list(s) for s in fg.scopes]}
-            _emit(_json_text(doc), args.out)
-        else:
-            _emit(graphs.export_dot(fg), args.out)
-        return 0
-
-    completion = graphs.triangulate(graphs.build_vig(instance), heuristic)
-    if args.triangulate:
-        if args.format == "dot":
-            _emit(graphs.export_dot(completion.completed()), args.out)
-        else:
+        view = {"n": fg.n, "scopes": [list(s) for s in fg.scopes]}, fg, "dot"
+    else:
+        completion = graphs.triangulate(graphs.build_vig(instance), heuristic)
+        if args.triangulate:
             doc = {
                 "elimination_order": list(completion.elimination_order),
                 "fill_edges": [list(e) for e in sorted(completion.fill_edges)],
             }
-            _emit(_json_text(doc), args.out)
-        return 0
-    jt = graphs.junction_tree(completion)
-    if args.junction_tree:
-        if args.format == "dot":
-            _emit(graphs.export_dot(jt), args.out)
+            view = doc, completion.completed(), "json"
         else:
-            _emit(_json_text(graphs.jt_to_json(jt)), args.out)
-        return 0
-    # --treewidth
-    if args.format == "json":
-        _emit(_json_text({"treewidth": jt.treewidth}), args.out)
+            jt = graphs.junction_tree(completion)
+            if args.junction_tree:
+                view = graphs.jt_to_json(jt), jt, "json"
+            else:
+                view = {"treewidth": jt.treewidth}, None, "text"
+    doc, dot, default = view
+    if (args.format or default) == "json":
+        _emit(_json_text(doc), args.out)
+    elif dot is not None:
+        _emit(graphs.export_dot(dot), args.out)
     else:
-        _emit(f"{jt.treewidth}\n", args.out)
+        _emit(f"{doc['treewidth']}\n", args.out)
     return 0
 
 
@@ -128,6 +124,7 @@ def _marginal_tables(args) -> tuple[marginals.MarginalTable, ...]:
     """The tables of the requested scopes, from one sweep over all 2^n solutions."""
     if args.stat == marginals.STAT_BOLTZMANN and args.beta is None:
         raise ConfigError("--stat boltzmann needs --beta")
+    _require_finite(args.beta, "--beta", StructuralError)
     instance = _load_instance(args.instance)
     if args.scopes is not None:
         scopes = [_parse_ints(g, "--scopes") for g in args.scopes.split(";") if g.strip()]
@@ -174,6 +171,8 @@ def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
 
 
 def cmd_fda(args) -> int:
+    _require_finite(args.tau, "--tau", ConfigError)
+    _require_finite(args.selection_beta, "--selection-beta", ConfigError)
     instance = _load_instance(args.instance)
     factorization = _factorization_for(args, instance)
     if args.selection == "truncation":

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .adf import AdfInstance, Bits, project
-from .errors import ConfigError, StructuralError, VisibilityError
-from .graphs import build_vig
+from .errors import ConfigError, StructuralError
+from .graphs import _require_structure, build_vig
 
 PIVOT_BEST = "best"
 PIVOT_FIRST = "first"
@@ -56,11 +56,7 @@ class DeltaState:
     """
 
     def __init__(self, instance: AdfInstance, start: Bits):
-        if not instance.structure_visible:
-            raise VisibilityError(
-                f"delta evaluation needs white structure visibility, instance is "
-                f"{instance.wgb[0].value}"
-            )
+        _require_structure(instance, "delta evaluation")
         if len(start) != instance.n:
             raise StructuralError(f"start has {len(start)} bits, expected {instance.n}")
         self.instance = instance
@@ -118,20 +114,17 @@ def apply_flip(state: DeltaState, i: int) -> DeltaState:
 
     Only subfunctions containing i are recomputed; only i and its interaction
     graph neighbors get their cached deltas refreshed (no other variable's
-    delta can have changed).
+    delta can have changed). The fitness moves by the cached delta of i.
     """
     _check_var(state, i)
     subs = state.instance.subfunctions
-    moved = 0.0
     for a, mask in state._flips[i]:
-        new_cfg = state.sub_cfgs[a] ^ mask
-        new_val = subs[a].codomain[new_cfg]
+        cfg = state.sub_cfgs[a] ^ mask
+        state.sub_cfgs[a] = cfg
+        state.sub_values[a] = subs[a].codomain[cfg]
         state.eval_count += 1
-        moved += new_val - state.sub_values[a]
-        state.sub_cfgs[a] = new_cfg
-        state.sub_values[a] = new_val
     state.bits[i] ^= 1
-    state.fitness += moved
+    state.fitness += state.deltas[i]
     for v in (i, *state._neighbors[i]):
         state.deltas[v] = state._raw_delta(v)
         if state.deltas[v] > 0:
@@ -147,9 +140,7 @@ def delta_pair(state: DeltaState, u: int, v: int) -> float:
     _check_var(state, v)
     if u == v:
         raise StructuralError("pair move needs two distinct variables")
-    masks: dict[int, int] = {}
-    for a, mask in state._flips[u]:
-        masks[a] = mask
+    masks = dict(state._flips[u])
     for a, mask in state._flips[v]:
         masks[a] = masks.get(a, 0) ^ mask
     subs = state.instance.subfunctions

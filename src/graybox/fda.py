@@ -9,7 +9,7 @@ generator, so a run is reproducible from its config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -295,22 +295,6 @@ def result_to_json(result: FdaResult) -> dict:
         "fitness": result.best_fitness,
         "generations": result.generations,
         "success": result.success,
-        "config": {
-            "population_size": cfg.population_size,
-            "selection": selection,
-            "smoothing": cfg.smoothing,
-            "max_generations": cfg.max_generations,
-            "seed": cfg.seed,
-            "elitism": cfg.elitism,
-            "target_fitness": cfg.target_fitness,
-        },
-        "history": [
-            {
-                "generation": h.generation,
-                "best": h.best,
-                "mean": h.mean,
-                "model_entropy": h.model_entropy,
-            }
-            for h in result.history
-        ],
+        "config": {**asdict(cfg), "selection": selection},
+        "history": [asdict(h) for h in result.history],
     }

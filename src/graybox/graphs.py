@@ -359,7 +359,11 @@ def running_intersection_holds(jt: JunctionTree) -> bool:
 
 @dataclass(frozen=True)
 class Factor:
-    """(new variables | conditioning variables); both sorted ascending."""
+    """(new variables | conditioning variables).
+
+    Junction-tree factors list both sorted ascending; a factor read from a
+    file keeps the order it was written in.
+    """
 
     new: tuple[int, ...]
     cond: tuple[int, ...]
@@ -379,6 +383,9 @@ class Factorization:
     def __post_init__(self):
         introduced: set[int] = set()
         for i, f in enumerate(self.factors):
+            scope = f.new + f.cond
+            if len(set(scope)) != len(scope):
+                raise StructuralError(f"factor {i} repeats a variable in {scope}")
             if i == 0 and f.cond:
                 raise StructuralError("factor 0 must be an unconditioned joint")
             overlap = set(f.new) & introduced
@@ -393,11 +400,6 @@ class Factorization:
         if introduced != set(range(self.n)):
             absent = sorted(set(range(self.n)) - introduced)
             raise StructuralError(f"variables {absent} never introduced")
-
-    @property
-    def scopes(self) -> tuple[tuple[int, ...], ...]:
-        """Full scope (cond + new, sorted) of each factor."""
-        return tuple(tuple(sorted(set(f.new) | set(f.cond))) for f in self.factors)
 
 
 def factorization_from_jt(jt: JunctionTree, root: int) -> Factorization:

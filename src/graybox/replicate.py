@@ -39,8 +39,6 @@ from .marginals import (
     tables_to_tsv,
 )
 
-GOLDEN_TABLES = ("order3", "order4", "order5", "clique5")
-
 EXPECTED_DECEPTIVE = {
     "order3": frozenset({3, 8, 9}),
     "order4": frozenset({10}),

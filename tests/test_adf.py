@@ -124,14 +124,15 @@ class TestTypes:
 
     def test_k_max(self):
         inst = make_instance(4, [(0,), (1, 2, 3)], [(0, 1), (0,) * 8])
-        assert inst.k_max == 3
+        assert max(sub.k for sub in inst.subfunctions) == 3
         assert inst.m == 2
 
 
 class TestGenerate:
     def test_paper_example_shape(self):
         inst = paper_example()
-        assert inst.n == 10 and inst.m == 10 and inst.k_max == 3
+        assert inst.n == 10 and inst.m == 10
+        assert max(sub.k for sub in inst.subfunctions) == 3
         assert inst.subfunctions[0].codomain == (1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
         # each subfunction: value 1 at four configurations, one of them 111
         for sub in inst.subfunctions:

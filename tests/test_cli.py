@@ -304,6 +304,12 @@ class TestBadInput:
         bad.write_bytes(b"\xff\xfe")
         self.assert_error(capsys, 1, ["fda", paper_file, "--factor-file", str(bad)])
 
+    def test_factor_file_repeating_a_variable(self, capsys, paper_file, tmp_path):
+        bad = tmp_path / "factors.json"
+        bad.write_text(json.dumps({"n": 10, "factors": [{"new": [*range(10), 0], "cond": []}]}))
+        err = self.assert_error(capsys, 1, ["fda", paper_file, "--factor-file", str(bad)])
+        assert "repeats" in err
+
     def test_empty_factor_file_path(self, capsys, paper_file):
         err = self.assert_error(capsys, 2, ["fda", paper_file, "--factor-file", ""])
         assert "--factor-file" in err
@@ -327,6 +333,19 @@ class TestBadInput:
     def test_non_finite_fda_numbers(self, capsys, paper_file, flags):
         err = self.assert_error(capsys, 2, ["fda", paper_file, "--jt", *flags])
         assert "finite" in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (("marginals", "PAPER", "--order", "3", "--beta", "inf"), 1),
+        (("deception", "PAPER", "--order", "3", "--optimum", "1" * 10, "--stat", "mean",
+          "--beta", "nan"), 1),
+        (("fda", "PAPER", "--jt", "--selection-beta", "nan"), 2),
+        (("fda", "PAPER", "--jt", "--selection", "boltzmann", "--tau", "nan"), 2),
+    ], ids=["marginals-sum-beta", "deception-mean-beta", "fda-truncation-selection-beta",
+            "fda-boltzmann-tau"])
+    def test_non_finite_flag_the_method_ignores(self, capsys, paper_file, argv, code):
+        argv = [paper_file if a == "PAPER" else a for a in argv]
+        err = self.assert_error(capsys, code, argv)
+        assert "must be finite" in err
 
     @pytest.mark.parametrize("argv", [
         ("gen", "--kind", "adjacent-cyclic", "--n", "4", "--k", "3", "--seed", "-1"),

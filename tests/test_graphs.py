@@ -259,6 +259,16 @@ class TestFactorization:
         with pytest.raises(StructuralError):
             Factorization(2, (Factor((0,), ()), Factor((1,), (0,)), Factor((0,), (1,))))
 
+    @pytest.mark.parametrize("factors", [
+        (Factor((0, 1, 0), ()),),
+        (Factor((0, 1), ()), Factor((2,), (1, 1))),
+    ], ids=["new", "cond"])
+    def test_factor_repeating_a_variable(self, factors):
+        # A repeated variable would double a table axis and smear mass over
+        # configurations that disagree with themselves.
+        with pytest.raises(StructuralError, match="repeats"):
+            Factorization(len({v for f in factors for v in f.new}), factors)
+
     def test_conditioning_before_introduction(self):
         with pytest.raises(StructuralError):
             Factorization(2, (Factor((0,), (1,)), Factor((1,), ())))
@@ -269,7 +279,7 @@ class TestFactorization:
             vig = build_vig(inst)
             jt = junction_tree(triangulate(vig))
             fact = factorization_from_jt(jt, root=0)
-            scopes = [set(s) for s in fact.scopes]
+            scopes = [set(f.new) | set(f.cond) for f in fact.factors]
             for u, v in vig.edges:
                 assert any({u, v} <= s for s in scopes)
 
