@@ -346,6 +346,11 @@ def serialize(instance: AdfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_text(doc) -> str:
+    """The JSON layout of every written document: indented, keys sorted, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def serialize_json(instance: AdfInstance) -> str:
     doc = {
         "name": instance.name,
@@ -356,7 +361,7 @@ def serialize_json(instance: AdfInstance) -> str:
             for sub in instance.subfunctions
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def _parse_visibility(token: str, lineno: int) -> Visibility:

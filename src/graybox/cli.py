@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adf, climb as climb_mod, fda as fda_mod, graphs, marginals, replicate
-from .errors import ConfigError, GrayboxError, ParseError, StructuralError
+from .errors import ConfigError, GrayboxError, ParseError
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -25,10 +24,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _read_text(path: str) -> str:
@@ -48,12 +43,6 @@ def _parse_ints(spec: str, flag: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in spec.split(","))
     except ValueError:
         raise ConfigError(f"{flag} takes comma-separated integers, got {spec!r}") from None
-
-
-def _require_finite(value: float | None, flag: str, error: type[GrayboxError]) -> None:
-    """Refuse nan and +-inf for `flag`, whether or not the chosen method reads it."""
-    if value is not None and not math.isfinite(value):
-        raise error(f"{flag} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +101,7 @@ def cmd_analyze(args) -> int:
                 view = {"treewidth": jt.treewidth}, None, "text"
     doc, dot, default = view
     if (args.format or default) == "json":
-        _emit(_json_text(doc), args.out)
+        _emit(adf.json_text(doc), args.out)
     elif dot is not None:
         _emit(graphs.export_dot(dot), args.out)
     else:
@@ -120,12 +109,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _marginal_tables(args) -> tuple[marginals.MarginalTable, ...]:
-    """The tables of the requested scopes, from one sweep over all 2^n solutions."""
+def _marginal_tables(args, optimum: adf.Bits | None = None) -> tuple[marginals.MarginalTable, ...]:
+    """The tables of the requested scopes, from one sweep over all 2^n solutions.
+    A given optimum's length is checked before the sweep."""
     if args.stat == marginals.STAT_BOLTZMANN and args.beta is None:
         raise ConfigError("--stat boltzmann needs --beta")
-    _require_finite(args.beta, "--beta", StructuralError)
+    if args.beta is not None:
+        marginals.check_beta(args.beta)
     instance = _load_instance(args.instance)
+    if optimum is not None:
+        marginals.check_optimum(optimum, instance.n)
     if args.scopes is not None:
         scopes = [_parse_ints(g, "--scopes") for g in args.scopes.split(";") if g.strip()]
         if not scopes:
@@ -142,7 +135,7 @@ def _marginal_tables(args) -> tuple[marginals.MarginalTable, ...]:
 def cmd_marginals(args) -> int:
     tables = _marginal_tables(args)
     if args.format == "json":
-        _emit(_json_text(marginals.tables_to_json(tables)), args.out)
+        _emit(adf.json_text(marginals.tables_to_json(tables)), args.out)
     else:
         _emit(marginals.tables_to_tsv(tables), args.out)
     return 0
@@ -150,8 +143,8 @@ def cmd_marginals(args) -> int:
 
 def cmd_deception(args) -> int:
     optimum = adf.bits_from_string(args.optimum)
-    report = marginals.deception_report(_marginal_tables(args), optimum)
-    _emit(_json_text(marginals.deception_to_json(report)), args.out)
+    report = marginals.deception_report(_marginal_tables(args, optimum), optimum)
+    _emit(adf.json_text(marginals.deception_to_json(report)), args.out)
     return 0
 
 
@@ -171,14 +164,12 @@ def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
 
 
 def cmd_fda(args) -> int:
-    _require_finite(args.tau, "--tau", ConfigError)
-    _require_finite(args.selection_beta, "--selection-beta", ConfigError)
+    # Both are built so that each flag is checked whichever method runs.
+    truncation = fda_mod.TruncationSelection(tau=args.tau)
+    boltzmann = fda_mod.BoltzmannSelection(beta=args.selection_beta)
+    selection = truncation if args.selection == "truncation" else boltzmann
     instance = _load_instance(args.instance)
     factorization = _factorization_for(args, instance)
-    if args.selection == "truncation":
-        selection = fda_mod.TruncationSelection(tau=args.tau)
-    else:
-        selection = fda_mod.BoltzmannSelection(beta=args.selection_beta)
     config = fda_mod.FdaConfig(
         population_size=args.pop_size,
         selection=selection,
@@ -193,7 +184,7 @@ def cmd_fda(args) -> int:
     if args.history:
         lines = [json.dumps(h, sort_keys=True) for h in doc["history"]]
         Path(args.history).write_text("\n".join(lines) + "\n")
-    _emit(_json_text(doc), args.out)
+    _emit(adf.json_text(doc), args.out)
     return 0
 
 
@@ -235,7 +226,7 @@ def cmd_climb(args) -> int:
         doc = {"starts": args.starts, "best": best, "results": results}
     if args.trace:
         Path(args.trace).write_text("\n".join(trace_lines) + "\n" if trace_lines else "")
-    _emit(_json_text(doc), args.out)
+    _emit(adf.json_text(doc), args.out)
     return 0
 
 

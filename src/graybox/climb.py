@@ -50,9 +50,9 @@ class DeltaState:
     """Single-owner mutable search state with incremental bookkeeping.
 
     Invariants maintained by apply_flip: `fitness` equals the full evaluation
-    of `bits`, `improving` is exactly the set of variables whose single flip
-    strictly increases fitness, and `deltas` caches every variable's flip
-    delta. `eval_count` counts individual subfunction table lookups.
+    of `bits` and `deltas`, a float64 array, caches every variable's flip
+    delta, so the strictly improving single flips are exactly `deltas > 0`.
+    `eval_count` counts individual subfunction table lookups.
     """
 
     def __init__(self, instance: AdfInstance, start: Bits):
@@ -80,8 +80,7 @@ class DeltaState:
         self._neighbors = vig.adjacency()
         self._vig_edges = tuple(sorted(vig.edges))
 
-        self.deltas = [self._raw_delta(v) for v in range(instance.n)]
-        self.improving = {v for v, d in enumerate(self.deltas) if d > 0}
+        self.deltas = np.array([self._raw_delta(v) for v in range(instance.n)])
 
     def _raw_delta(self, v: int) -> float:
         d = 0.0
@@ -124,13 +123,9 @@ def apply_flip(state: DeltaState, i: int) -> DeltaState:
         state.sub_values[a] = subs[a].codomain[cfg]
         state.eval_count += 1
     state.bits[i] ^= 1
-    state.fitness += state.deltas[i]
+    state.fitness += float(state.deltas[i])
     for v in (i, *state._neighbors[i]):
         state.deltas[v] = state._raw_delta(v)
-        if state.deltas[v] > 0:
-            state.improving.add(v)
-        else:
-            state.improving.discard(v)
     return state
 
 
@@ -153,9 +148,9 @@ def delta_pair(state: DeltaState, u: int, v: int) -> float:
 
 def pair_candidates(state: DeltaState) -> tuple[tuple[int, int], ...]:
     """Exactly the interaction graph edges; only these pairs can improve once
-    the single-flip buffer is empty. Precondition: that buffer is empty."""
-    if state.improving:
-        raise StructuralError("pair_candidates requires an empty improving buffer")
+    no single flip does. Precondition: no cached delta is positive."""
+    if (state.deltas > 0).any():
+        raise StructuralError("pair_candidates requires that no single flip improves")
     return state._vig_edges
 
 
@@ -168,9 +163,9 @@ def hill_climb(
     """Climb until no strictly improving single flip (and, when enabled, no
     improving interaction-graph pair) remains, or max_moves is hit.
 
-    Best-improvement picks the largest delta, ties to the lowest variable;
-    first-improvement scans a seeded permutation refreshed each sweep.
-    A pair move counts as one move.
+    Best-improvement picks the largest delta, ties to the lowest variable
+    (np.argmax returns the first maximum); first-improvement scans a seeded
+    permutation refreshed each sweep. A pair move counts as one move.
     """
     state = init_state(instance, start)
     rng = np.random.default_rng(policy.seed)
@@ -184,19 +179,18 @@ def hill_climb(
             while pos < len(perm):
                 v = perm[pos]
                 pos += 1
-                if v in state.improving:
+                if state.deltas[v] > 0:
                     return v
             perm = [int(x) for x in rng.permutation(instance.n)]
             pos = 0
 
     while True:
         move, delta = (), 0.0
-        if state.improving:
-            if policy.pivot == PIVOT_BEST:
-                i = max(state.improving, key=lambda v: (state.deltas[v], -v))
-            else:
+        i = int(np.argmax(state.deltas))
+        if state.deltas[i] > 0:
+            if policy.pivot == PIVOT_FIRST:
                 i = pick_first()
-            move, delta = (i,), state.deltas[i]
+            move, delta = (i,), float(state.deltas[i])
         elif policy.pair_moves:
             for u, v in pair_candidates(state):
                 d = delta_pair(state, u, v)

@@ -40,7 +40,7 @@ class TruncationSelection:
 
     def __post_init__(self):
         if not 0 < self.tau <= 1:
-            raise ConfigError(f"truncation fraction must be in (0, 1], got {self.tau}")
+            raise ConfigError(f"truncation fraction must be finite and in (0, 1], got {self.tau}")
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,12 @@ class MarginalTable:
         return len(self.scope)
 
 
+def check_beta(beta: float | None) -> None:
+    """The one check of a Boltzmann beta: finite and nonnegative."""
+    if beta is None or not math.isfinite(beta) or beta < 0:
+        raise StructuralError(f"boltzmann beta must be finite and nonnegative, got {beta}")
+
+
 def enumerate_marginals(
     instance: AdfInstance,
     scopes: Sequence[Sequence[int]],
@@ -100,8 +106,7 @@ def enumerate_marginals(
     if kind not in (STAT_SUM, STAT_MEAN, STAT_BOLTZMANN):
         raise StructuralError(f"unknown statistic kind {kind!r}")
     if kind == STAT_BOLTZMANN:
-        if beta is None or not math.isfinite(beta) or beta < 0:
-            raise StructuralError(f"boltzmann statistic needs a finite beta >= 0, got {beta}")
+        check_beta(beta)
     else:
         beta = None
     scopes = [tuple(map(int, scope)) for scope in scopes]
@@ -164,16 +169,20 @@ class DeceptionReport:
         return frozenset(e.factor_id for e in self.entries if e.deceptive)
 
 
+def check_optimum(reference_optimum: Bits, n: int) -> None:
+    """Refuse a reference optimum that is not n bits long."""
+    if len(reference_optimum) != n:
+        raise StructuralError(f"reference optimum has {len(reference_optimum)} bits, expected {n}")
+
+
 def deception_report(tables: Sequence[MarginalTable], reference_optimum: Bits) -> DeceptionReport:
     """Flag each table whose best-statistic configurations all disagree with
     the reference optimum's projection. Factor ids are 1-based positions in
     `tables`, so they line up with published table columns."""
+    if tables:
+        check_optimum(reference_optimum, tables[0].n)
     entries = []
     for i, table in enumerate(tables, start=1):
-        if len(reference_optimum) != table.n:
-            raise StructuralError(
-                f"reference optimum has {len(reference_optimum)} bits, expected {table.n}"
-            )
         best = max_configs(table)
         opt_cfg = project(reference_optimum, table.scope)
         entries.append(

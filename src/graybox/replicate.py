@@ -10,12 +10,11 @@ factorization rooted at clique {0,1,2,8,9}, and the deceptive-factor sets
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .adf import AdfInstance, config_string, paper_example
+from .adf import AdfInstance, config_string, json_text, paper_example
 from .graphs import (
     Factor,
     JunctionTree,
@@ -170,16 +169,10 @@ def replicate(out_dir: str | Path | None = None) -> ReplicationOutcome:
         out.mkdir(parents=True, exist_ok=True)
         for name, tables in tables_by_name.items():
             (out / f"{name}.tsv").write_text(tables_to_tsv(tables))
-        (out / "junction_tree.json").write_text(
-            json.dumps(jt_to_json(jt), indent=2, sort_keys=True) + "\n"
-        )
-        (out / "factorization.json").write_text(
-            json.dumps(factorization_to_json(factorization), indent=2, sort_keys=True) + "\n"
-        )
+        (out / "junction_tree.json").write_text(json_text(jt_to_json(jt)))
+        (out / "factorization.json").write_text(json_text(factorization_to_json(factorization)))
         deception_doc = {name: deception_to_json(reports[name]) for name in scope_sets}
-        (out / "deception.json").write_text(
-            json.dumps(deception_doc, indent=2, sort_keys=True) + "\n"
-        )
+        (out / "deception.json").write_text(json_text(deception_doc))
         report_lines = [
             f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks
         ]

@@ -347,6 +347,28 @@ class TestBadInput:
         err = self.assert_error(capsys, code, argv)
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (("marginals", "PAPER", "--order", "3", "--stat", "mean", "--beta", "-5"), 1,
+         "nonnegative"),
+        (("fda", "PAPER", "--jt", "--selection", "boltzmann", "--tau", "0"), 2, "(0, 1]"),
+    ], ids=["marginals-mean-beta", "fda-boltzmann-tau"])
+    def test_out_of_range_flag_the_method_ignores(self, capsys, paper_file, argv, code,
+                                                  message):
+        argv = [paper_file if a == "PAPER" else a for a in argv]
+        err = self.assert_error(capsys, code, argv)
+        assert message in err
+
+    def test_optimum_length_checked_before_enumeration(self, capsys, tmp_path, monkeypatch):
+        # n=26 is above the default enumeration cap: sweeping first would
+        # end in the capacity error instead
+        monkeypatch.delenv("GRAYBOX_MAX_ENUM_VARS", raising=False)
+        path = tmp_path / "n26.adf"
+        path.write_text(adf.serialize(adf.generate(adf.GeneratorSpec(adf.ADJACENT_CYCLIC, 26, 3))))
+        err = self.assert_error(
+            capsys, 1, ["deception", str(path), "--order", "3", "--optimum", "11"]
+        )
+        assert "reference optimum has 2 bits, expected 26" in err
+
     @pytest.mark.parametrize("argv", [
         ("gen", "--kind", "adjacent-cyclic", "--n", "4", "--k", "3", "--seed", "-1"),
         ("gen", "--kind", "adjacent-cyclic", "--n", "4", "--k", "3", "--codomain-seed", "-1"),
@@ -435,7 +457,7 @@ class TestClimb:
         inst = adf.paper_example()
         for item in doc["results"]:
             state = init_state(inst, adf.bits_from_string(item["solution"]))
-            assert state.improving == set()
+            assert not (state.deltas > 0).any()
 
     def test_trace_written(self, capsys, paper_file, tmp_path):
         trace = tmp_path / "trace.jsonl"

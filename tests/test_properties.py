@@ -1,7 +1,8 @@
 """Property tests for the configuration-index codec, instance round trips,
 the shared table collapse, the one-sweep marginal enumeration, the
 elimination routine and junction tree against their full-scan references,
-the junction-tree FDA model and its entropy, and the climber's delta cache.
+the junction-tree FDA model and its entropy, and the climber's delta cache
+and best-pivot tie rule.
 
 networkx serves only as an independent oracle for chordality and maximal
 cliques; the tests are skipped where it is not installed.
@@ -34,7 +35,7 @@ from graybox.adf import (
     serialize,
     serialize_json,
 )
-from graybox.climb import apply_flip, init_state
+from graybox.climb import PIVOT_BEST, ClimbPolicy, apply_flip, delta_flip, hill_climb, init_state
 from graybox.errors import StructuralError
 from graybox.fda import estimate, model_entropy, sample
 from graybox.graphs import (
@@ -362,6 +363,39 @@ def test_apply_flip_keeps_delta_cache_exact(data):
         neighbours = [list(state.bits) for _ in range(n)]
         for u, flipped in enumerate(neighbours):
             flipped[u] ^= 1
-        assert state.deltas == [instance.evaluate(x) - fitness for x in neighbours]
-        assert state.improving == {u for u in range(n) if state.deltas[u] > 0}
+        assert state.deltas.tolist() == [instance.evaluate(x) - fitness for x in neighbours]
+        assert set(np.flatnonzero(state.deltas > 0).tolist()) == {
+            u for u, x in enumerate(neighbours) if instance.evaluate(x) > fitness
+        }
         assert state.fitness == fitness
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_best_pivot_flips_lowest_of_the_largest_fresh_deltas(data):
+    """Four-optima tables take only the values 0 and 1, so many flips tie on
+    the largest delta; each best-pivot move must flip the lowest of them,
+    with every delta recomputed by delta_flip on a state built from scratch."""
+    k = data.draw(st.integers(3, 4))
+    n = data.draw(st.integers(k, 14))
+    kind = data.draw(st.sampled_from([ADJACENT_CYCLIC, RANDOM_SCOPES]))
+    m = data.draw(st.integers(1, n + 4)) if kind == RANDOM_SCOPES else None
+    spec = GeneratorSpec(kind, n=n, k=k, m=m, codomain=CODOMAIN_FOUR_OPTIMA,
+                         seed=data.draw(st.integers(0, 1000)))
+    instance = generate(spec)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    events = []
+    result = hill_climb(instance, bits, ClimbPolicy(pivot=PIVOT_BEST), trace=events.append)
+
+    def fresh_deltas():
+        state = init_state(instance, bits)
+        return [delta_flip(state, v) for v in range(n)]
+
+    for event in events:
+        fresh = fresh_deltas()
+        i = fresh.index(max(fresh))  # the lowest variable attaining the maximum
+        assert fresh[i] > 0
+        assert (event["variables"], event["delta"]) == ([i], fresh[i])
+        bits[i] ^= 1
+    assert max(fresh_deltas()) <= 0
+    assert result.converged and list(result.solution) == bits
