@@ -14,7 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -120,8 +121,8 @@ class Subfunction:
 class AdfInstance:
     """An additively decomposed function over n binary variables.
 
-    Instances are immutable after construction and safe to share across
-    threads; evaluation is pure.
+    Instances are immutable and safe to share across threads; evaluation is
+    pure. The structure views are cached on first use and are not fields.
     """
 
     n: int
@@ -139,7 +140,6 @@ class AdfInstance:
                 _validate_scope(sub.scope, self.n)
             except StructuralError as exc:
                 raise StructuralError(f"subfunction {i}: {exc}") from None
-        object.__setattr__(self, "_batch_tables", None)
 
     @property
     def m(self) -> int:
@@ -161,18 +161,44 @@ class AdfInstance:
         if bits.ndim != 2 or bits.shape[1] != self.n:
             raise StructuralError(f"expected a (B, {self.n}) bit matrix, got {bits.shape}")
         total = np.zeros(bits.shape[0])
-        for scope, codomain in self._tables():
+        for scope, codomain in self._batch_tables:
             total += codomain[config_index(bits, scope)]
         return total
 
-    def _tables(self):
-        if self._batch_tables is None:
-            tables = tuple(
-                (np.array(sub.scope, dtype=np.intp), np.array(sub.codomain))
-                for sub in self.subfunctions
-            )
-            object.__setattr__(self, "_batch_tables", tables)
-        return self._batch_tables
+    @cached_property
+    def _batch_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple((np.array(s.scope, dtype=np.intp), np.array(s.codomain))
+                     for s in self.subfunctions)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """incidence[v]: (a, mask) for each subfunction a whose scope holds v,
+        ascending in a; flipping v turns a's project() index c into c ^ mask."""
+        lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for a, sub in enumerate(self.subfunctions):
+            for pos, v in enumerate(sub.scope):
+                lists[v].append((a, 1 << (sub.k - 1 - pos)))
+        return tuple(map(tuple, lists))
+
+    @cached_property
+    def _edge_set(self) -> frozenset[tuple[int, int]]:
+        # build_vig reads this, so that building the graph sorts nothing
+        return frozenset((u, v) if u < v else (v, u) for sub in self.subfunctions
+                         for u, v in combinations(sub.scope, 2))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The sorted interaction-graph edges: pairs (u, v), u < v, sharing a scope."""
+        return tuple(sorted(self._edge_set))
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """neighbors[v]: v's interaction-graph neighbours, ascending."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:  # sorted, so each list fills in ascending order
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +341,13 @@ def generate(spec: GeneratorSpec) -> AdfInstance:
     return AdfInstance(n=spec.n, subfunctions=subs, name=name)
 
 
+def order_scopes(instance: AdfInstance, order: int) -> list[tuple[int, ...]]:
+    """Per subfunction, the window of `order` variables from one before its first
+    scope variable, wrapping (the paper example's golden-table alignment)."""
+    n = instance.n
+    return [tuple((s.scope[0] - 1 + d) % n for d in range(order)) for s in instance.subfunctions]
+
+
 # ---------------------------------------------------------------------------
 # Serialization: line-oriented text format plus a JSON mirror
 # ---------------------------------------------------------------------------
@@ -344,6 +377,13 @@ def serialize(instance: AdfInstance) -> str:
         values = " ".join(repr(v) for v in sub.codomain)
         lines.append(f"sub {sub.k} {scope} {values}")
     return "\n".join(lines) + "\n"
+
+
+def json_int(value) -> int:
+    """An integer field of a JSON document; TypeError for floats, bools and the rest."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def json_text(doc) -> str:
@@ -452,12 +492,14 @@ def _parse_json(text: str) -> AdfInstance:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"])
         wgb_raw = doc.get("wgb", ["white", "white"])
+        if not isinstance(wgb_raw, list) or len(wgb_raw) != 2:
+            raise TypeError(f"wgb must be a two-item list, got {wgb_raw!r}")
         wgb = (_parse_visibility(wgb_raw[0], 0), _parse_visibility(wgb_raw[1], 0))
         subs = []
         for i, entry in enumerate(doc["subfunctions"]):
-            scope = tuple(int(v) for v in entry["scope"])
+            scope = tuple(map(json_int, entry["scope"]))
             values = tuple(float(v) for v in entry["codomain"])
             try:
                 subs.append(Subfunction(scope, values))

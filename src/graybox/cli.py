@@ -126,7 +126,7 @@ def _marginal_tables(args, optimum: adf.Bits | None = None) -> tuple[marginals.M
     elif args.order is not None:
         if args.order < 1:
             raise ConfigError(f"--order must be at least 1, got {args.order}")
-        scopes = replicate.order_scopes(instance, args.order)
+        scopes = adf.order_scopes(instance, args.order)
     else:
         scopes = replicate.jt_scopes(instance)[1]
     return marginals.enumerate_marginals(instance, scopes, kind=args.stat, beta=args.beta)

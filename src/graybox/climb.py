@@ -1,10 +1,10 @@
 """Structure-aware hill climbing with constant-time-per-move delta evaluation.
 
-A DeltaState caches every subfunction's current value, so flipping variable i
-touches only the c_i subfunctions containing it, independent of n. At a
-1-bit local optimum, the only pairs worth flipping together are edges of the
-interaction graph: for non-adjacent u, v the pair delta is exactly
-delta(u) + delta(v) <= 0.
+A DeltaState caches one start's subfunction values; the structure all starts
+share (incidence, neighbours, edges) is cached on the instance. Flipping bit i
+touches only the c_i subfunctions containing it, independent of n. At a 1-bit
+local optimum, only interaction-graph edges are worth flipping together: for
+non-adjacent u, v the pair delta is exactly delta(u) + delta(v) <= 0.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .adf import AdfInstance, Bits, project
 from .errors import ConfigError, StructuralError
-from .graphs import _require_structure, build_vig
+from .graphs import _require_structure, build_vig  # build_vig: wrapped by the benchmark tracer
 
 PIVOT_BEST = "best"
 PIVOT_FIRST = "first"
@@ -47,7 +47,7 @@ class ClimbResult:
 
 
 class DeltaState:
-    """Single-owner mutable search state with incremental bookkeeping.
+    """Single-owner mutable state of one start; the structure is the instance's.
 
     Invariants maintained by apply_flip: `fitness` equals the full evaluation
     of `bits` and `deltas`, a float64 array, caches every variable's flip
@@ -62,30 +62,16 @@ class DeltaState:
         self.instance = instance
         self.bits = [1 if b else 0 for b in start]
         self.eval_count = 0
-
-        # For each variable: (subfunction index, xor mask on its config index).
-        flips: list[list[tuple[int, int]]] = [[] for _ in range(instance.n)]
-        self.sub_cfgs: list[int] = []
-        self.sub_values: list[float] = []
-        for a, sub in enumerate(instance.subfunctions):
-            cfg = project(self.bits, sub.scope)
-            self.sub_cfgs.append(cfg)
-            self.sub_values.append(sub.codomain[cfg])
-            for pos, v in enumerate(sub.scope):
-                flips[v].append((a, 1 << (sub.k - 1 - pos)))
-        self._flips = [tuple(entries) for entries in flips]
+        self.sub_cfgs = [project(self.bits, sub.scope) for sub in instance.subfunctions]
+        self.sub_values = [sub.codomain[c] for sub, c in zip(instance.subfunctions, self.sub_cfgs)]
         self.fitness = float(sum(self.sub_values))
+        self.deltas = np.array([self._delta(flips) for flips in instance.incidence])
 
-        vig = build_vig(instance)
-        self._neighbors = vig.adjacency()
-        self._vig_edges = tuple(sorted(vig.edges))
-
-        self.deltas = np.array([self._raw_delta(v) for v in range(instance.n)])
-
-    def _raw_delta(self, v: int) -> float:
+    def _delta(self, flips) -> float:
+        """Fitness change of applying each (subfunction, xor mask) of flips, in order."""
         d = 0.0
         subs = self.instance.subfunctions
-        for a, mask in self._flips[v]:
+        for a, mask in flips:
             d += subs[a].codomain[self.sub_cfgs[a] ^ mask] - self.sub_values[a]
             self.eval_count += 1
         return d
@@ -105,7 +91,7 @@ def delta_flip(state: DeltaState, i: int) -> float:
     """Fitness change of flipping bit i, re-evaluating only the c_i
     subfunctions containing it. Leaves the state untouched."""
     _check_var(state, i)
-    return state._raw_delta(i)
+    return state._delta(state.instance.incidence[i])
 
 
 def apply_flip(state: DeltaState, i: int) -> DeltaState:
@@ -116,16 +102,16 @@ def apply_flip(state: DeltaState, i: int) -> DeltaState:
     delta can have changed). The fitness moves by the cached delta of i.
     """
     _check_var(state, i)
-    subs = state.instance.subfunctions
-    for a, mask in state._flips[i]:
+    incidence, subs = state.instance.incidence, state.instance.subfunctions
+    for a, mask in incidence[i]:
         cfg = state.sub_cfgs[a] ^ mask
         state.sub_cfgs[a] = cfg
         state.sub_values[a] = subs[a].codomain[cfg]
         state.eval_count += 1
     state.bits[i] ^= 1
     state.fitness += float(state.deltas[i])
-    for v in (i, *state._neighbors[i]):
-        state.deltas[v] = state._raw_delta(v)
+    for v in (i, *state.instance.neighbors[i]):
+        state.deltas[v] = state._delta(incidence[v])
     return state
 
 
@@ -135,15 +121,10 @@ def delta_pair(state: DeltaState, u: int, v: int) -> float:
     _check_var(state, v)
     if u == v:
         raise StructuralError("pair move needs two distinct variables")
-    masks = dict(state._flips[u])
-    for a, mask in state._flips[v]:
+    masks = dict(state.instance.incidence[u])
+    for a, mask in state.instance.incidence[v]:
         masks[a] = masks.get(a, 0) ^ mask
-    subs = state.instance.subfunctions
-    d = 0.0
-    for a, mask in sorted(masks.items()):
-        d += subs[a].codomain[state.sub_cfgs[a] ^ mask] - state.sub_values[a]
-        state.eval_count += 1
-    return d
+    return state._delta(sorted(masks.items()))
 
 
 def pair_candidates(state: DeltaState) -> tuple[tuple[int, int], ...]:
@@ -151,7 +132,7 @@ def pair_candidates(state: DeltaState) -> tuple[tuple[int, int], ...]:
     no single flip does. Precondition: no cached delta is positive."""
     if (state.deltas > 0).any():
         raise StructuralError("pair_candidates requires that no single flip improves")
-    return state._vig_edges
+    return state.instance.edges
 
 
 def hill_climb(

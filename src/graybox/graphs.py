@@ -9,18 +9,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
-from .adf import AdfInstance
+from .adf import AdfInstance, json_int
 from .errors import StructuralError, VisibilityError
 
 MIN_FILL = "min-fill"
 MIN_DEGREE = "min-degree"
-
-
-def _edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -66,11 +61,7 @@ def _require_structure(instance: AdfInstance, operation: str) -> None:
 def build_vig(instance: AdfInstance) -> InteractionGraph:
     """Edge {u,v} iff u and v co-occur in some subfunction scope."""
     _require_structure(instance, "build_vig")
-    edges = set()
-    for sub in instance.subfunctions:
-        for u, v in combinations(sub.scope, 2):
-            edges.add(_edge(u, v))
-    return InteractionGraph(n=instance.n, edges=frozenset(edges))
+    return InteractionGraph(n=instance.n, edges=instance._edge_set)
 
 
 def build_factor_graph(instance: AdfInstance) -> FactorGraph:
@@ -492,9 +483,9 @@ def factorization_to_json(factorization: Factorization) -> dict:
 def factorization_from_json(doc: Mapping) -> Factorization:
     try:
         factors = tuple(
-            Factor(new=tuple(int(v) for v in f["new"]), cond=tuple(int(v) for v in f["cond"]))
+            Factor(new=tuple(map(json_int, f["new"])), cond=tuple(map(json_int, f["cond"])))
             for f in doc["factors"]
         )
-        return Factorization(n=int(doc["n"]), factors=factors)
+        return Factorization(n=json_int(doc["n"]), factors=factors)
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed factorization document: {exc}") from None

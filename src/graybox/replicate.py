@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .adf import AdfInstance, config_string, json_text, paper_example
+from .adf import AdfInstance, config_string, json_text, order_scopes, paper_example
 from .graphs import (
     Factor,
     JunctionTree,
@@ -54,20 +54,6 @@ EXPECTED_FACTORS = (
     Factor(new=(6,), cond=(4, 5, 8, 9)),
     Factor(new=(7,), cond=(5, 6, 8, 9)),
 )
-
-
-def order_scopes(instance: AdfInstance, order: int) -> list[tuple[int, ...]]:
-    """Order-j windows, one per subfunction: j consecutive variables starting
-    one position before the subfunction's first scope variable (cyclically).
-
-    This alignment is the one under which the golden tables' columns are the
-    windows of factors 1..M in order; it is meaningful for adjacent-style
-    structures.
-    """
-    return [
-        tuple((sub.scope[0] - 1 + d) % instance.n for d in range(order))
-        for sub in instance.subfunctions
-    ]
 
 
 def jt_scopes(instance: AdfInstance) -> tuple[JunctionTree, list[tuple[int, ...]]]:

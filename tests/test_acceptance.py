@@ -17,6 +17,7 @@ from graybox.adf import (
     SEPARABLE,
     GeneratorSpec,
     generate,
+    order_scopes,
     paper_example,
 )
 from graybox.climb import ClimbPolicy, delta_flip, hill_climb, init_state
@@ -33,7 +34,7 @@ from graybox.graphs import (
 )
 from graybox.marginals import STAT_BOLTZMANN, deception_report, enumerate_marginals
 from graybox.fda import estimate
-from graybox.replicate import jt_scopes, load_golden, order_scopes, replicate
+from graybox.replicate import jt_scopes, load_golden, replicate
 from oracles import exact_treewidth, model_probability
 
 PUBLISHED_FILL = frozenset(

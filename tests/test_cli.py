@@ -389,6 +389,41 @@ class TestBadInput:
         )
         assert "overflows" in err
 
+    # Without the integer check these documents were read by truncating the
+    # number (n=2, n=1, scope (0, 1)); the wgb ones ended in an IndexError.
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 2, "wgb": [], "subfunctions": [{"scope": [0, 1], "codomain": [0, 1, 2, 3]}]},
+         "wgb"),
+        ({"n": 2, "wgb": ["white"], "subfunctions": [{"scope": [0], "codomain": [0, 1]}]},
+         "wgb"),
+        ({"n": 2.7, "subfunctions": [{"scope": [0, 1], "codomain": [0, 1, 2, 3]}]}, "2.7"),
+        ({"n": True, "subfunctions": [{"scope": [0], "codomain": [0, 1]}]}, "True"),
+        ({"n": 2, "subfunctions": [{"scope": [0.9, 1], "codomain": [0, 1, 2, 3]}]}, "0.9"),
+    ], ids=["wgb-empty", "wgb-one-item", "n-float", "n-bool", "scope-float"])
+    def test_malformed_json_instance(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        err = self.assert_error(capsys, 1, ["analyze", str(path), "--vig"])
+        assert message in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 1.9, "factors": [{"new": [0.7], "cond": []}]}, "expected an integer"),
+        ({"n": 1.9, "factors": [{"new": [0], "cond": []}]}, "1.9"),
+        ({"n": 1, "factors": [{"new": [0.7], "cond": []}]}, "0.7"),
+        ({"n": 2, "factors": [{"new": [0], "cond": []}, {"new": [1], "cond": [False]}]},
+         "False"),
+    ], ids=["n-and-new-float", "n-float", "new-float", "cond-bool"])
+    def test_non_integer_factor_file(self, capsys, tmp_path, doc, message):
+        # an instance the truncated factorization fits
+        instance = tmp_path / "instance.adf"
+        instance.write_text(f"adf {int(doc['n'])} 1\nsub 1 0 0 1\n")
+        factors = tmp_path / "factors.json"
+        factors.write_text(json.dumps(doc))
+        err = self.assert_error(
+            capsys, 1, ["fda", str(instance), "--factor-file", str(factors), "--max-gens", "1"]
+        )
+        assert message in err
+
 
 class TestFda:
     def test_jt_run_reaches_target(self, capsys, paper_file, tmp_path):
@@ -503,7 +538,7 @@ class TestReplicate:
 
     def test_mismatch_shows_plain_number(self):
         inst = adf.paper_example()
-        tables = [enumerate_marginal(inst, s) for s in replicate.order_scopes(inst, 3)]
+        tables = [enumerate_marginal(inst, s) for s in adf.order_scopes(inst, 3)]
         first = tables[0]
         tables[0] = dataclasses.replace(first, values=(np.float64(5.5),) + first.values[1:])
         mismatches = []

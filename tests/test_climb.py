@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graybox import climb, graphs
 from graybox.adf import (
     RANDOM_SCOPES,
     SEPARABLE,
@@ -12,9 +13,12 @@ from graybox.adf import (
     Visibility,
     generate,
     paper_example,
+    parse,
+    serialize,
 )
 from graybox.climb import (
     ClimbPolicy,
+    DeltaState,
     apply_flip,
     delta_flip,
     delta_pair,
@@ -276,3 +280,47 @@ class TestPairCandidates:
             assert delta_pair(state, u, v) == pytest.approx(
                 delta_flip(state, u) + delta_flip(state, v), abs=1e-12
             )
+
+
+class TestSharedStructure:
+    """Every start reads the structure cached on the instance; none rebuilds it."""
+
+    def test_starts_on_one_instance_match_fresh_copies(self, monkeypatch):
+        text = serialize(generate(GeneratorSpec(RANDOM_SCOPES, n=30, k=4, m=40, seed=7)))
+        shared = parse(text)
+        states = []
+        real_init = climb.init_state
+
+        def recording_init(instance, start):
+            states.append(real_init(instance, start))
+            return states[-1]
+
+        monkeypatch.setattr(climb, "init_state", recording_init)
+        rng = np.random.default_rng(0)
+        views = (shared.incidence, shared.neighbors, shared.edges)
+        for pivot in ("best", "first"):
+            policy = ClimbPolicy(pivot=pivot, pair_moves=True, seed=3)
+            for _ in range(3):
+                start = [int(b) for b in rng.integers(0, 2, size=shared.n)]
+                on_shared = hill_climb(shared, start, policy)
+                on_fresh = hill_climb(parse(text), start, policy)
+                assert on_shared == on_fresh
+                assert states[-2].eval_count == states[-1].eval_count
+        for view, now in zip(views, (shared.incidence, shared.neighbors, shared.edges)):
+            assert view is now
+
+    def test_climbs_without_building_the_vig(self, monkeypatch):
+        inst = generate(GeneratorSpec(RANDOM_SCOPES, n=12, k=3, m=10, seed=1))
+        policy = ClimbPolicy(pair_moves=True)
+        expected = hill_climb(inst, [0] * 12, policy)
+
+        def refuse(instance):
+            raise AssertionError("build_vig called")
+
+        monkeypatch.setattr(graphs, "build_vig", refuse)
+        monkeypatch.setattr(climb, "build_vig", refuse)
+        fresh = generate(GeneratorSpec(RANDOM_SCOPES, n=12, k=3, m=10, seed=1))
+        assert hill_climb(fresh, [0] * 12, policy) == expected
+        state = DeltaState(fresh, [1] * 12)
+        apply_flip(state, 0)
+        assert state.fitness == fresh.evaluate([0] + [1] * 11)

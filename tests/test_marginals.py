@@ -12,6 +12,7 @@ from graybox.adf import (
     Subfunction,
     collapse,
     generate,
+    order_scopes,
     paper_example,
     project,
 )
@@ -26,7 +27,7 @@ from graybox.marginals import (
     max_configs,
     tables_to_tsv,
 )
-from graybox.replicate import jt_scopes, load_golden, order_scopes
+from graybox.replicate import jt_scopes, load_golden
 from oracles import exhaustive_optimum
 
 # Golden-table alignment (see graybox/golden/*.tsv): column t of the published

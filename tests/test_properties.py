@@ -1,8 +1,8 @@
 """Property tests for the configuration-index codec, instance round trips,
-the shared table collapse, the one-sweep marginal enumeration, the
-elimination routine and junction tree against their full-scan references,
-the junction-tree FDA model and its entropy, and the climber's delta cache
-and best-pivot tie rule.
+the instance's cached structure views, the shared table collapse, the
+one-sweep marginal enumeration, the elimination routine and junction tree
+against their full-scan references, the junction-tree FDA model and its
+entropy, and the climber's delta cache and best-pivot tie rule.
 
 networkx serves only as an independent oracle for chordality and maximal
 cliques; the tests are skipped where it is not installed.
@@ -110,6 +110,31 @@ def named_instances(draw):
 def test_parse_inverts_serialize(instance):
     assert parse(serialize(instance)) == instance
     assert parse(serialize_json(instance)) == instance
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_structure_views_match_their_definitions(data):
+    """incidence, edges and neighbors against their definitions; building them
+    changes neither equality nor the hash."""
+    instance = _instance(data.draw)
+    twin = AdfInstance(n=instance.n, subfunctions=instance.subfunctions)
+    before = hash(instance)
+    assert instance == twin
+    scopes = [sub.scope for sub in instance.subfunctions]
+    pairs = {tuple(sorted(p)) for scope in scopes for p in combinations(scope, 2)}
+    assert instance.edges == tuple(sorted(pairs))
+    assert instance.neighbors == tuple(tuple(sorted(a)) for a in build_vig(instance).adjacency())
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=instance.n, max_size=instance.n))
+    for v in range(instance.n):
+        flipped = list(bits)
+        flipped[v] ^= 1
+        incidence = instance.incidence[v]
+        assert [a for a, _ in incidence] == [a for a, scope in enumerate(scopes) if v in scope]
+        for a, mask in incidence:
+            assert project(flipped, scopes[a]) == project(bits, scopes[a]) ^ mask
+    assert hash(instance) == before == hash(twin)
+    assert instance == twin
 
 
 @st.composite
