@@ -386,6 +386,16 @@ def json_int(value) -> int:
     return value
 
 
+def json_number(value) -> float:
+    """A numeric field of a JSON document; TypeError for bools, strings and the rest."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("an integer is too large for a float") from None
+
+
 def json_text(doc) -> str:
     """The JSON layout of every written document: indented, keys sorted, final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -489,7 +499,7 @@ def _parse_text(text: str) -> AdfInstance:
 def _parse_json(text: str) -> AdfInstance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     try:
         n = json_int(doc["n"])
@@ -500,12 +510,15 @@ def _parse_json(text: str) -> AdfInstance:
         subs = []
         for i, entry in enumerate(doc["subfunctions"]):
             scope = tuple(map(json_int, entry["scope"]))
-            values = tuple(float(v) for v in entry["codomain"])
+            values = tuple(map(json_number, entry["codomain"]))
             try:
                 subs.append(Subfunction(scope, values))
             except StructuralError as exc:
                 raise ParseError(f"subfunction {i}: {exc}") from None
-        return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=str(doc.get("name", "")))
+        name = doc.get("name", "")
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a string, got {name!r}")
+        return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=name)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed instance document: {exc}") from None
     except StructuralError as exc:

@@ -4,7 +4,9 @@ A DeltaState caches one start's subfunction values; the structure all starts
 share (incidence, neighbours, edges) is cached on the instance. Flipping bit i
 touches only the c_i subfunctions containing it, independent of n. At a 1-bit
 local optimum, only interaction-graph edges are worth flipping together: for
-non-adjacent u, v the pair delta is exactly delta(u) + delta(v) <= 0.
+non-adjacent u, v the pair delta is exactly delta(u) + delta(v) <= 0. Pair
+scores are cached per edge; a flip of w can change only the scores of edges
+touching N[w] ∪ {w}, so only those are rescored at the next pair scan.
 """
 
 from __future__ import annotations
@@ -127,14 +129,6 @@ def delta_pair(state: DeltaState, u: int, v: int) -> float:
     return state._delta(sorted(masks.items()))
 
 
-def pair_candidates(state: DeltaState) -> tuple[tuple[int, int], ...]:
-    """Exactly the interaction graph edges; only these pairs can improve once
-    no single flip does. Precondition: no cached delta is positive."""
-    if (state.deltas > 0).any():
-        raise StructuralError("pair_candidates requires that no single flip improves")
-    return state.instance.edges
-
-
 def hill_climb(
     instance: AdfInstance,
     start: Bits,
@@ -146,41 +140,62 @@ def hill_climb(
 
     Best-improvement picks the largest delta, ties to the lowest variable
     (np.argmax returns the first maximum); first-improvement scans a seeded
-    permutation refreshed each sweep. A pair move counts as one move.
+    permutation refreshed each sweep. A pair move counts as one move and
+    picks the largest pair score, ties to the first edge in `instance.edges`
+    order. Pair scores are cached per edge: a flip of w changes only the
+    subfunctions containing w, so only edges with an endpoint in N[w] ∪ {w}
+    are rescored at the next pair scan.
     """
     state = init_state(instance, start)
     rng = np.random.default_rng(policy.seed)
     moves = 0
     perm: list[int] = []
     pos = 0
+    edges = instance.edges
+    if policy.pair_moves:
+        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        scores = np.zeros(len(edges))
+        stale = np.ones(instance.n, dtype=bool)  # variables whose edges need rescoring
 
-    def pick_first() -> int:
+    def pick_first() -> int | None:
+        """The next permutation entry with an improving flip, or None if no flip
+        improves. A new permutation is drawn only when the current one is used
+        up and some flip improves; a failed scan keeps its position, so after a
+        pair move the scan resumes where it stopped."""
         nonlocal perm, pos
         while True:
-            while pos < len(perm):
-                v = perm[pos]
-                pos += 1
-                if state.deltas[v] > 0:
-                    return v
+            for p in range(pos, len(perm)):
+                if state.deltas[perm[p]] > 0:
+                    pos = p + 1
+                    return perm[p]
+            if not (state.deltas > 0).any():
+                return None
             perm = [int(x) for x in rng.permutation(instance.n)]
             pos = 0
 
     while True:
         move, delta = (), 0.0
-        i = int(np.argmax(state.deltas))
-        if state.deltas[i] > 0:
-            if policy.pivot == PIVOT_FIRST:
-                i = pick_first()
+        if policy.pivot == PIVOT_FIRST:
+            i = pick_first()
+        else:
+            i = int(np.argmax(state.deltas))
+            if state.deltas[i] <= 0:
+                i = None
+        if i is not None:
             move, delta = (i,), float(state.deltas[i])
-        elif policy.pair_moves:
-            for u, v in pair_candidates(state):
-                d = delta_pair(state, u, v)
-                if d > delta:
-                    move, delta = (u, v), d
+        elif policy.pair_moves and edges:
+            for e in np.flatnonzero(stale[ends].any(axis=1)).tolist():
+                scores[e] = delta_pair(state, *edges[e])
+            stale[:] = False
+            e = int(np.argmax(scores))
+            if scores[e] > 0:
+                move, delta = edges[e], float(scores[e])
         if not move or (policy.max_moves is not None and moves >= policy.max_moves):
             return ClimbResult(tuple(state.bits), state.fitness, moves, converged=not move)
         for v in move:
             apply_flip(state, v)
+            if policy.pair_moves:
+                stale[[v, *instance.neighbors[v]]] = True
         moves += 1
         if trace is not None:
             trace({"move": moves, "variables": list(move), "delta": delta, "fitness": state.fitness})

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
+from graybox import climb
 from graybox.adf import AdfInstance, config_bits, project
 from graybox.errors import CapacityError, StructuralError
 from graybox.graphs import (
@@ -187,3 +188,53 @@ def model_probability(factorization: Factorization, tables, solution) -> float:
     for f, table in zip(factorization.factors, tables):
         p *= float(table[project(solution, f.cond), project(solution, f.new)])
     return p
+
+
+def pair_candidates(state: climb.DeltaState) -> tuple[tuple[int, int], ...]:
+    """Exactly the interaction graph edges; only these pairs can improve once
+    no single flip does. Precondition: no cached delta is positive."""
+    if (state.deltas > 0).any():
+        raise StructuralError("pair_candidates requires that no single flip improves")
+    return state.instance.edges
+
+
+def reference_hill_climb(instance, start, policy=climb.ClimbPolicy(), trace=None):
+    """`climb.hill_climb` as a full rescan: every move runs np.argmax over all
+    deltas, and every pair scan calls `climb.delta_pair` (through the module,
+    so a counter patched there sees the calls) on every edge."""
+    state = climb.init_state(instance, start)
+    rng = np.random.default_rng(policy.seed)
+    moves = 0
+    perm: list[int] = []
+    pos = 0
+
+    def pick_first() -> int:
+        nonlocal perm, pos
+        while True:
+            while pos < len(perm):
+                v = perm[pos]
+                pos += 1
+                if state.deltas[v] > 0:
+                    return v
+            perm = [int(x) for x in rng.permutation(instance.n)]
+            pos = 0
+
+    while True:
+        move, delta = (), 0.0
+        i = int(np.argmax(state.deltas))
+        if state.deltas[i] > 0:
+            if policy.pivot == climb.PIVOT_FIRST:
+                i = pick_first()
+            move, delta = (i,), float(state.deltas[i])
+        elif policy.pair_moves:
+            for u, v in pair_candidates(state):
+                d = climb.delta_pair(state, u, v)
+                if d > delta:
+                    move, delta = (u, v), d
+        if not move or (policy.max_moves is not None and moves >= policy.max_moves):
+            return climb.ClimbResult(tuple(state.bits), state.fitness, moves, converged=not move)
+        for v in move:
+            climb.apply_flip(state, v)
+        moves += 1
+        if trace is not None:
+            trace({"move": moves, "variables": list(move), "delta": delta, "fitness": state.fitness})

@@ -399,7 +399,12 @@ class TestBadInput:
         ({"n": 2.7, "subfunctions": [{"scope": [0, 1], "codomain": [0, 1, 2, 3]}]}, "2.7"),
         ({"n": True, "subfunctions": [{"scope": [0], "codomain": [0, 1]}]}, "True"),
         ({"n": 2, "subfunctions": [{"scope": [0.9, 1], "codomain": [0, 1, 2, 3]}]}, "0.9"),
-    ], ids=["wgb-empty", "wgb-one-item", "n-float", "n-bool", "scope-float"])
+        ({"n": 1, "subfunctions": [{"scope": [0], "codomain": [True, 2.5]}]}, "True"),
+        ({"n": 1, "subfunctions": [{"scope": [0], "codomain": [1, "2.5"]}]}, "'2.5'"),
+        ({"n": 1, "subfunctions": [{"scope": [0], "codomain": [1, 10 ** 400]}]}, "too large"),
+        ({"n": 1, "subfunctions": [{"scope": [0], "codomain": [1, 2.5]}], "name": 7}, "name"),
+    ], ids=["wgb-empty", "wgb-one-item", "n-float", "n-bool", "scope-float", "codomain-bool",
+            "codomain-string", "codomain-huge-int", "name-not-string"])
     def test_malformed_json_instance(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -504,6 +509,26 @@ class TestClimb:
         assert code == 0
         assert len(events) == doc["moves"]
         assert events[-1]["fitness"] == doc["fitness"]
+
+    def test_pair_moves_without_edges(self, capsys, tmp_path, monkeypatch):
+        # single-variable scopes leave the interaction graph with no edge
+        path = tmp_path / "unary.adf"
+        path.write_text("adf 3 3\nsub 1 0 0 1\nsub 1 1 2 0\nsub 1 2 0 1\n")
+        real_argmax = np.argmax
+
+        def nonempty_argmax(a, *args, **kwargs):
+            assert np.size(a) > 0
+            return real_argmax(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argmax", nonempty_argmax)
+        for pivot in ("best", "first"):
+            args = ["climb", str(path), "--starts", "4", "--pivot", pivot]
+            code, single, err = run_cli(capsys, *args)
+            assert (code, err) == (0, "")
+            code, paired, err = run_cli(capsys, *args, "--pair-moves")
+            assert (code, err) == (0, "")
+            assert paired == single
+            assert json.loads(paired)["best"]["solution"] == "101"
 
     def test_deterministic(self, capsys, paper_file):
         args = ["climb", paper_file, "--starts", "10", "--seed", "4", "--pivot", "first"]

@@ -5,6 +5,7 @@ import pytest
 
 from graybox import climb, graphs
 from graybox.adf import (
+    ADJACENT_CYCLIC,
     RANDOM_SCOPES,
     SEPARABLE,
     AdfInstance,
@@ -24,10 +25,10 @@ from graybox.climb import (
     delta_pair,
     hill_climb,
     init_state,
-    pair_candidates,
 )
 from graybox.errors import ConfigError, StructuralError, VisibilityError
 from graybox.graphs import build_vig
+from oracles import pair_candidates, reference_hill_climb
 
 
 def flip(bits, i):
@@ -280,6 +281,34 @@ class TestPairCandidates:
             assert delta_pair(state, u, v) == pytest.approx(
                 delta_flip(state, u) + delta_flip(state, v), abs=1e-12
             )
+
+
+class TestCachedPairScores:
+    """Pair scans rescore only the edges a flip can have changed."""
+
+    def test_far_fewer_delta_pair_calls_than_a_full_rescan(self, monkeypatch):
+        inst = generate(GeneratorSpec(ADJACENT_CYCLIC, n=150, k=5, seed=2))
+        calls = []
+        real_delta_pair = climb.delta_pair
+
+        def counting(state, u, v):
+            calls.append((u, v))
+            return real_delta_pair(state, u, v)
+
+        monkeypatch.setattr(climb, "delta_pair", counting)
+        rng = np.random.default_rng(9)
+        policy = ClimbPolicy(pair_moves=True)
+        cached = rescan = 0
+        for _ in range(20):
+            start = [int(b) for b in rng.integers(0, 2, size=inst.n)]
+            calls.clear()
+            result = hill_climb(inst, start, policy)
+            cached += len(calls)
+            calls.clear()
+            assert reference_hill_climb(inst, start, policy) == result
+            rescan += len(calls)
+        assert rescan > 0
+        assert 4 * cached <= rescan
 
 
 class TestSharedStructure:

@@ -2,7 +2,8 @@
 the instance's cached structure views, the shared table collapse, the
 one-sweep marginal enumeration, the elimination routine and junction tree
 against their full-scan references, the junction-tree FDA model and its
-entropy, and the climber's delta cache and best-pivot tie rule.
+entropy, and the climber's delta cache, best-pivot tie rule and cached pair
+scores against a full rescan.
 
 networkx serves only as an independent oracle for chordality and maximal
 cliques; the tests are skipped where it is not installed.
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from graybox.adf import (
     ADJACENT_CYCLIC,
     CODOMAIN_FOUR_OPTIMA,
+    CODOMAIN_UNIFORM,
     RANDOM_SCOPES,
     AdfInstance,
     GeneratorSpec,
@@ -35,7 +37,15 @@ from graybox.adf import (
     serialize,
     serialize_json,
 )
-from graybox.climb import PIVOT_BEST, ClimbPolicy, apply_flip, delta_flip, hill_climb, init_state
+from graybox.climb import (
+    PIVOT_BEST,
+    PIVOT_FIRST,
+    ClimbPolicy,
+    apply_flip,
+    delta_flip,
+    hill_climb,
+    init_state,
+)
 from graybox.errors import StructuralError
 from graybox.fda import estimate, model_entropy, sample
 from graybox.graphs import (
@@ -58,7 +68,12 @@ from graybox.marginals import (
     enumerate_marginals,
     max_configs,
 )
-from oracles import model_probability, reference_junction_tree, reference_triangulate
+from oracles import (
+    model_probability,
+    reference_hill_climb,
+    reference_junction_tree,
+    reference_triangulate,
+)
 
 
 def _instance(draw) -> AdfInstance:
@@ -424,3 +439,31 @@ def test_best_pivot_flips_lowest_of_the_largest_fresh_deltas(data):
         bits[i] ^= 1
     assert max(fresh_deltas()) <= 0
     assert result.converged and list(result.solution) == bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cached_pair_scores_climb_like_a_full_rescan(data):
+    """The climb must match, move for move, the oracle that runs np.argmax
+    over all deltas each move and rescores every edge at each pair scan.
+    Four-optima tables tie many pair scores, which exercises the first-edge
+    tie rule; uniform tables give float scores."""
+    k = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(k, 16))
+    spec = GeneratorSpec(RANDOM_SCOPES, n=n, k=k, m=data.draw(st.integers(1, n + 4)),
+                         codomain=data.draw(st.sampled_from([CODOMAIN_FOUR_OPTIMA,
+                                                             CODOMAIN_UNIFORM])),
+                         seed=data.draw(st.integers(0, 1000)))
+    instance = generate(spec)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    policy = ClimbPolicy(
+        pivot=data.draw(st.sampled_from([PIVOT_BEST, PIVOT_FIRST])),
+        pair_moves=data.draw(st.booleans()),
+        max_moves=data.draw(st.none() | st.integers(0, 12)),
+        seed=data.draw(st.integers(0, 100)),
+    )
+    got, expected = [], []
+    assert hill_climb(instance, bits, policy, got.append) == reference_hill_climb(
+        instance, bits, policy, expected.append
+    )
+    assert got == expected
