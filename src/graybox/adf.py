@@ -80,14 +80,22 @@ def config_bits(index: np.ndarray, width: int) -> np.ndarray:
     return ((np.asarray(index)[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
+@lru_cache(maxsize=None)
+def _collapse_index(width: int, positions: tuple[int, ...]) -> np.ndarray:
+    """For each configuration of `width` variables, the index of its values
+    at `positions`; read-only, since every caller shares it."""
+    idx = config_index(config_bits(np.arange(1 << width), width), positions)
+    idx.flags.writeable = False
+    return idx
+
+
 def collapse(values: Sequence[float], src: Sequence[int], dst: Sequence[int]) -> np.ndarray:
     """Sum a flat table over the ordered variables src onto the ordered subset dst.
 
     Both tables index configurations as project() does. Entries are added in
     input order, so the sums are the same as a per-configuration loop's.
     """
-    configs = config_bits(np.arange(1 << len(src)), len(src))
-    idx = config_index(configs, [src.index(v) for v in dst])
+    idx = _collapse_index(len(src), tuple(map(src.index, dst)))
     return np.bincount(idx, weights=values, minlength=1 << len(dst))
 
 

@@ -156,7 +156,7 @@ def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
             raise ConfigError("--factor-file needs a path")
         try:
             doc = json.loads(_read_text(args.factor_file))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
             raise ParseError(f"{args.factor_file}: invalid JSON: {exc}") from None
         return graphs.factorization_from_json(doc)
     jt = graphs.junction_tree(graphs.triangulate(graphs.build_vig(instance), args.heuristic))

@@ -158,23 +158,33 @@ def sample(
     return bits
 
 
-def _weighted_row_entropy(table: np.ndarray, weights: np.ndarray) -> float:
-    """Sum over rows c with weights[c] > 0 of weights[c] * H(table[c]), in bits.
+def _row_entropies(tables: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """H(table[c]) in bits for every row c of every table.
 
-    Rows with the same number m of nonzero entries share one NumPy pass over
-    their packed (rows, m) nonzeros, so each row is summed exactly as a 1-D
-    array of its nonzeros would be; the weighted terms are added in row order.
+    The tables with the same column count are stacked, and the stack's rows
+    with the same number m of nonzero entries share one NumPy pass over their
+    packed (rows, m) nonzeros, so each row is summed exactly as a 1-D array
+    of its nonzeros would be.
     """
-    nz = table > 0
-    counts = nz.sum(axis=1)
-    h = np.zeros(len(table))
-    for m in np.flatnonzero(np.bincount(counts)):
-        rows = np.flatnonzero(counts == m)
-        p = table[rows][nz[rows]].reshape(len(rows), m)
-        h[rows] = -(p * np.log2(p)).sum(axis=1)
-    # Iterate np.float64 items: Python's sum() compensates exact floats from
-    # 3.12 on (so no .tolist() and no math.fsum), which would change bits.
-    return float(sum((weights * h)[weights > 0]))
+    by_width: dict[int, list[int]] = {}
+    for i, table in enumerate(tables):
+        by_width.setdefault(table.shape[1], []).append(i)
+    entropies: dict[int, np.ndarray] = {}
+    for ids in by_width.values():
+        stack = np.concatenate([tables[i] for i in ids])
+        nz = stack > 0
+        counts = nz.sum(axis=1)
+        h = np.empty(len(stack))
+        for m in np.flatnonzero(np.bincount(counts)):
+            rows = counts == m
+            p = stack[nz & rows[:, None]].reshape(-1, m)
+            plogp = np.log2(p)
+            plogp *= p
+            h[rows] = -plogp.sum(axis=1)
+        del stack, nz  # keep one width's copy alive at a time
+        ends = np.cumsum([len(tables[i]) for i in ids[:-1]])
+        entropies.update(zip(ids, np.split(h, ends)))
+    return [entropies[i] for i in range(len(tables))]
 
 
 def model_entropy(factorization: Factorization, tables: tuple[np.ndarray, ...]) -> float:
@@ -182,32 +192,33 @@ def model_entropy(factorization: Factorization, tables: tuple[np.ndarray, ...]) 
 
     Uses the chain rule over factors: H = sum_i sum_c p(cond_i = c) H(new_i | c).
     The weights p(cond_i = c) come from collapsing the joint over the first
-    earlier factor whose full scope covers cond_i (true for junction-tree
-    factorizations and for the univariate model); raises StructuralError
-    when no single earlier factor covers it. Each table's row entropies take
-    one pass per distinct nonzero count rather than one per row, and give
-    the same floats as summing each row's nonzeros on its own.
+    earlier factor whose full scope covers cond_i, which
+    Factorization.covers finds once per factorization. Such a factor exists
+    in junction-tree factorizations and the univariate model; when none
+    does, StructuralError names the first factor without one. The row
+    entropies of all tables of one width take one pass per distinct nonzero
+    count and give the same floats as summing each row's nonzeros on its
+    own.
     """
     _check_tables(factorization, tables)
+    factors, covers = factorization.factors, factorization.covers
+    for i, f in enumerate(factors):
+        if f.cond and covers[i] is None:
+            raise StructuralError(
+                f"factor {i} conditioning set {f.cond} spans multiple factors; "
+                "entropy needs junction-tree-shaped factorizations"
+            )
     entropy = 0.0
-    scopes: list[tuple[int, ...]] = []  # variable order of each stored joint
-    scope_sets: list[set[int]] = []
-    joints: list[np.ndarray] = []
-    for i, (f, table) in enumerate(zip(factorization.factors, tables)):
-        if not f.cond:
-            weights = np.ones(1)
+    joints: list[np.ndarray] = []  # over cond + new of each factor
+    for f, cover, table, h in zip(factors, covers, tables, _row_entropies(tables)):
+        if f.cond:
+            source = factors[cover]
+            weights = collapse(joints[cover], source.cond + source.new, f.cond)
         else:
-            cond = set(f.cond)
-            cover = next((j for j, s in enumerate(scope_sets) if cond <= s), None)
-            if cover is None:
-                raise StructuralError(
-                    f"factor {i} conditioning set {f.cond} spans multiple factors; "
-                    "entropy needs junction-tree-shaped factorizations"
-                )
-            weights = collapse(joints[cover], scopes[cover], f.cond)
-        entropy += _weighted_row_entropy(table, weights)
-        scopes.append(f.cond + f.new)
-        scope_sets.append(set(scopes[-1]))
+            weights = np.ones(1)
+        terms = (weights * h)[weights > 0]
+        if len(terms):  # cumsum adds left to right; sum() would add pairwise
+            entropy += float(terms.cumsum()[-1])
         joints.append((weights[:, None] * table).reshape(-1))
     return entropy
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .adf import AdfInstance, json_int
@@ -391,6 +392,27 @@ class Factorization:
         if introduced != set(range(self.n)):
             absent = sorted(set(range(self.n)) - introduced)
             raise StructuralError(f"variables {absent} never introduced")
+
+    @cached_property
+    def covers(self) -> tuple[int | None, ...]:
+        """covers[i]: the lowest j < i whose full scope (new + cond) holds
+        factors[i].cond, or None when no earlier factor's does.
+
+        One pass over ascending per-variable lists of the factors holding
+        each variable: only the shortest list of a cond's variables is walked,
+        since a cyclic instance's wrap variables sit in every clique.
+        """
+        holders: list[list[int]] = [[] for _ in range(self.n)]
+        scopes: list[frozenset[int]] = []
+        covers = []
+        for i, f in enumerate(self.factors):
+            cond = frozenset(f.cond)
+            walk = min((holders[v] for v in f.cond), key=len, default=range(i))
+            covers.append(next((j for j in walk if cond <= scopes[j]), None))
+            scopes.append(frozenset(f.new) | cond)
+            for v in scopes[i]:
+                holders[v].append(i)
+        return tuple(covers)
 
 
 def factorization_from_jt(jt: JunctionTree, root: int) -> Factorization:

@@ -179,6 +179,18 @@ def exhaustive_optimum(instance: AdfInstance) -> tuple[tuple[tuple[int, ...], ..
     return tuple(tuple(int(b) for b in row) for row in bits[fitness == best]), best
 
 
+def first_covers(factorization: Factorization) -> tuple[int | None, ...]:
+    """Factorization.covers by scanning every earlier factor's scope set for
+    each factor: O(F^2) subset tests."""
+    scope_sets: list[set[int]] = []
+    covers = []
+    for f in factorization.factors:
+        cond = set(f.cond)
+        covers.append(next((j for j, s in enumerate(scope_sets) if cond <= s), None))
+        scope_sets.append(set(f.cond + f.new))
+    return tuple(covers)
+
+
 def model_probability(factorization: Factorization, tables, solution) -> float:
     """Probability the factorized model with conditional tables `tables`
     assigns to one solution: the product of one table entry per factor."""

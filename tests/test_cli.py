@@ -310,6 +310,16 @@ class TestBadInput:
         err = self.assert_error(capsys, 1, ["fda", paper_file, "--factor-file", str(bad)])
         assert "repeats" in err
 
+    def test_factor_file_integer_over_digit_limit(self, capsys, tmp_path):
+        instance = tmp_path / "one.adf"
+        instance.write_text("adf 1 1\nsub 1 0 0 1\n")
+        factors = tmp_path / "big.json"
+        factors.write_text('{"n": 1, "factors": [{"new": [%s], "cond": []}]}' % ("1" * 5000))
+        err = self.assert_error(
+            capsys, 1, ["fda", str(instance), "--factor-file", str(factors), "--max-gens", "1"]
+        )
+        assert "invalid JSON" in err and "digits" in err
+
     def test_empty_factor_file_path(self, capsys, paper_file):
         err = self.assert_error(capsys, 2, ["fda", paper_file, "--factor-file", ""])
         assert "--factor-file" in err

@@ -1,6 +1,7 @@
 """Selection, estimation, sampling, model entropy, and the FDA loop."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -222,6 +223,25 @@ class TestModelEntropy:
             if p > 0:
                 brute -= p * math.log2(p)
         assert model_entropy(fact, tables) == pytest.approx(brute, abs=1e-9)
+
+    def test_lowest_of_several_covers_and_uncovered_condition(self):
+        """Factor 2's cond (0,) lies in the scopes of factors 0 and 1, and
+        its cover is the lower one; factor 4's (2, 3) lies in no single
+        earlier scope, nor does factor 5's, and the error names factor 4
+        with the message it has always had."""
+        fact = Factorization(n=7, factors=(
+            Factor(new=(0, 1), cond=()),
+            Factor(new=(2,), cond=(0,)),
+            Factor(new=(3,), cond=(0,)),
+            Factor(new=(4,), cond=()),
+            Factor(new=(5,), cond=(2, 3)),
+            Factor(new=(6,), cond=(1, 4)),
+        ))
+        assert fact.covers == (None, 0, 0, 0, None, None)
+        message = ("factor 4 conditioning set (2, 3) spans multiple factors; "
+                   "entropy needs junction-tree-shaped factorizations")
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            model_entropy(fact, estimate(fact, np.ones((4, 7), dtype=np.uint8)))
 
 
 class TestRunFda:

@@ -2,8 +2,9 @@
 the instance's cached structure views, the shared table collapse, the
 one-sweep marginal enumeration, the elimination routine and junction tree
 against their full-scan references, the junction-tree FDA model and its
-entropy, and the climber's delta cache, best-pivot tie rule and cached pair
-scores against a full rescan.
+entropy, the factorization's cached covers against a full scan, and the
+climber's delta cache, best-pivot tie rule and cached pair scores against
+a full rescan.
 
 networkx serves only as an independent oracle for chordality and maximal
 cliques; the tests are skipped where it is not installed.
@@ -28,6 +29,7 @@ from graybox.adf import (
     GeneratorSpec,
     Subfunction,
     Visibility,
+    _collapse_index,
     collapse,
     config_bits,
     config_index,
@@ -54,6 +56,7 @@ from graybox.graphs import (
     ChordalCompletion,
     InteractionGraph,
     build_vig,
+    factorization_from_json,
     factorization_from_jt,
     junction_tree,
     running_intersection_holds,
@@ -69,6 +72,7 @@ from graybox.marginals import (
     max_configs,
 )
 from oracles import (
+    first_covers,
     model_probability,
     reference_hill_climb,
     reference_junction_tree,
@@ -309,9 +313,8 @@ def _entropy_oracle(factorization, tables) -> float:
     set, and each row's entropy is the sum of its own nonzero terms."""
     entropy = 0.0
     scopes, joints = [], []
-    for f, table in zip(factorization.factors, tables):
+    for f, table, cover in zip(factorization.factors, tables, first_covers(factorization)):
         if f.cond:
-            cover = next(j for j, scope in enumerate(scopes) if set(f.cond) <= set(scope))
             weights = collapse(joints[cover], scopes[cover], f.cond)
         else:
             weights = np.ones(1)
@@ -386,6 +389,82 @@ def test_model_entropy_equals_oracle_on_generated_instances(spec, root_width, sm
         bits = rng.integers(0, 2, (size, instance.n), dtype=np.uint8)
         tables = estimate(factorization, bits, smoothing)
         assert model_entropy(factorization, tables) == _entropy_oracle(factorization, tables)
+
+
+def test_model_entropy_caches_structure_only():
+    """The covers a Factorization caches and the shared collapse index hold
+    structure only: entropies of two table sets on one factorization, in
+    either order, equal the oracle's, and collapse results stay the same
+    however often they are computed and whatever a caller does with them."""
+    instance = generate(GeneratorSpec(RANDOM_SCOPES, n=30, k=4, m=30, seed=3))
+    graph = build_vig(instance)
+    rng = np.random.default_rng(11)
+    model = factorization_from_jt(junction_tree(triangulate(graph, MIN_FILL)), 0)
+    table_sets = [estimate(model, rng.integers(0, 2, (size, instance.n), dtype=np.uint8),
+                           smoothing)
+                  for size, smoothing in ((40, 0.0), (300, 1.0))]
+    expected = [_entropy_oracle(model, tables) for tables in table_sets]
+    assert expected[0] != expected[1]
+    for order in ((0, 1), (1, 0)):
+        factorization = factorization_from_jt(junction_tree(triangulate(graph, MIN_FILL)), 0)
+        for k in order:
+            assert model_entropy(factorization, table_sets[k]) == expected[k]
+
+    src, dst = (3, 1, 4, 0), (4, 3)
+    values = np.arange(16.0) ** 2
+    by_loop = [0.0] * 4
+    for c, row in enumerate(config_bits(np.arange(16), 4)):
+        solution = [0] * 5
+        for v, bit in zip(src, row):
+            solution[v] = int(bit)
+        by_loop[project(solution, dst)] += values[c]
+    for _ in range(3):
+        got = collapse(values, src, dst)
+        assert got.tolist() == by_loop
+        got[:] = -1.0
+    index = _collapse_index(4, (2, 0))
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0] = 1
+    assert collapse(values, src, dst).tolist() == by_loop
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_covers_equal_full_scan_on_junction_tree_factorizations(data):
+    instance = _instance(data.draw)
+    heuristic = data.draw(st.sampled_from([MIN_FILL, MIN_DEGREE]))
+    jt = junction_tree(triangulate(build_vig(instance), heuristic))
+    factorization = factorization_from_jt(jt, data.draw(st.integers(0, len(jt.cliques) - 1)))
+    assert factorization.covers == first_covers(factorization)
+    assert None not in factorization.covers[1:]
+
+
+@st.composite
+def factor_file_factorizations(draw):
+    """A factorization as a factor file may give it: variables introduced in
+    any order and chunk sizes, and each cond drawn either from one earlier
+    factor's scope (so it has one cover or several) or from all introduced
+    variables (so it may have none)."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    factors, scopes, introduced = [], [], []
+    while len(introduced) < n:
+        new = order[len(introduced):len(introduced) + draw(st.integers(1, 3))]
+        cond = []
+        if factors:
+            pool = draw(st.sampled_from(scopes)) if draw(st.booleans()) else introduced
+            cond = draw(st.permutations(pool))[: draw(st.integers(0, len(pool)))]
+        factors.append({"new": list(new), "cond": list(cond)})
+        scopes.append([*new, *cond])
+        introduced += new
+    return factorization_from_json({"n": n, "factors": factors})
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_file_factorizations())
+def test_covers_equal_full_scan_on_factor_file_factorizations(factorization):
+    assert factorization.covers == first_covers(factorization)
 
 
 @settings(max_examples=60, deadline=None)
