@@ -1,5 +1,7 @@
 """Interaction graphs, triangulation, junction trees, factorizations, tree-width."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,20 @@ class TestJunctionTree:
         assert len(jt.edges) == len(jt.cliques) - 1
         for (i, j), sep in zip(jt.edges, jt.separators):
             assert sep == tuple(sorted(set(jt.cliques[i]) & set(jt.cliques[j])))
+
+    def test_kruskal_joins_other_holders_than_the_elimination_tree(self):
+        # gen --kind random-scopes --n 8 --k 3 --m 4 --seed 8. The clique
+        # tree read off the elimination order joins (0,1,3) to (3,6,7);
+        # Kruskal's key puts the (0,1,3)-(3,5,6) pair first among the
+        # pairs with separator (3,), so clique 0 joins clique 2.
+        scopes = ((3, 5, 6), (2, 4, 7), (0, 1, 3), (3, 6, 7))
+        vig = graph(8, *(e for s in scopes for e in itertools.combinations(s, 2)))
+        completion = triangulate(vig)
+        jt = junction_tree(completion)
+        assert jt.cliques == ((0, 1, 3), (2, 4, 7), (3, 5, 6), (3, 6, 7))
+        assert jt.edges == ((2, 3), (0, 2), (1, 3))
+        assert jt.separators == ((3, 6), (3,), (7,))
+        assert jt == reference_junction_tree(completion)
 
     def test_running_intersection_random(self):
         for seed in range(8):
