@@ -353,6 +353,8 @@ def order_scopes(instance: AdfInstance, order: int) -> list[tuple[int, ...]]:
     """Per subfunction, the window of `order` variables from one before its first
     scope variable, wrapping (the paper example's golden-table alignment)."""
     n = instance.n
+    if order > n:
+        raise StructuralError(f"order {order} exceeds n={n}: a window would repeat a variable")
     return [tuple((s.scope[0] - 1 + d) % n for d in range(order)) for s in instance.subfunctions]
 
 
@@ -477,6 +479,13 @@ def _parse_text(text: str) -> AdfInstance:
                 k = int(fields[1])
             except (IndexError, ValueError):
                 raise ParseError(f"line {lineno}: expected 'sub <k> ...'") from None
+            if k < 1:
+                raise ParseError(f"line {lineno}: 'sub' arity must be at least 1, got {k}")
+            if k >= len(fields).bit_length():  # 2^k values alone overrun the line
+                raise ParseError(
+                    f"line {lineno}: 'sub {k}' needs {k} indices and 2^{k} values,"
+                    f" got {len(fields)} fields"
+                )
             expected = 2 + k + (1 << k)
             if len(fields) != expected:
                 raise ParseError(
@@ -514,7 +523,9 @@ def _parse_json(text: str) -> AdfInstance:
         wgb_raw = doc.get("wgb", ["white", "white"])
         if not isinstance(wgb_raw, list) or len(wgb_raw) != 2:
             raise TypeError(f"wgb must be a two-item list, got {wgb_raw!r}")
-        wgb = (_parse_visibility(wgb_raw[0], 0), _parse_visibility(wgb_raw[1], 0))
+        if not all(v in list(Visibility) for v in wgb_raw):
+            raise ValueError(f"wgb holds an unknown visibility: {wgb_raw!r}")
+        wgb = tuple(map(Visibility, wgb_raw))
         subs = []
         for i, entry in enumerate(doc["subfunctions"]):
             scope = tuple(map(json_int, entry["scope"]))

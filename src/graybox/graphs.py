@@ -213,15 +213,18 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     """Maximal cliques plus a maximum-separator-weight spanning tree.
 
     The tree is the one Kruskal builds over all clique pairs with the key
-    (-|separator|, i, j), weight-0 edges joining disconnected components with
-    empty separators; it is found without scoring the pairs. Every clique
-    tree lies in the reduced clique graph (Galinier, Habib & Paul 1995): for
-    each separator S of one clique tree, the cliques holding S fall into
-    parts, split by the edges labelled S, and Kruskal may join only cliques
-    of different parts with separator S. Heavier edges have joined each part
-    before those pairs come up and no other separator joins two parts, so
-    Kruskal keeps (m, lowest id of each other part), m the lowest id holding
-    S. Components then join clique 0 through their lowest clique id.
+    (-|Ci & Cj|, i, j), weight-0 edges joining components to clique 0 with
+    empty separators. Over any subset of the pairs that holds every pair it
+    keeps, Kruskal keeps the same edges: a dropped pair's ends are already
+    joined by earlier kept pairs. Every clique tree lies in the reduced
+    clique graph (Galinier, Habib & Paul 1995): for each separator S of one
+    clique tree, the cliques holding S fall into parts, split by the edges
+    labelled S, and Kruskal may join only cliques of different parts with
+    separator S. Heavier edges have joined each part before those pairs come
+    up, so Kruskal keeps only pairs (m, j), m the lowest id holding S. The
+    candidates are those pairs with their true keys, for each separator of
+    the clique tree read off the elimination order, plus (0, j) for each
+    j > 0 with key 0.
 
     Raises StructuralError if replaying the completion's elimination order
     on the completed graph would still need fill (i.e. it is not chordal).
@@ -242,14 +245,11 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     # the clique of f if that clique is still exactly {f} | later[f] and
     # later[v] equals it; otherwise v starts a clique joined to the clique of
     # f by the separator later[v]. A clique's vertices are then those of its
-    # last joined vertex, whose elimination clique is maximal. A vertex with
-    # no later neighbour starts the first clique of a new component.
+    # last joined vertex, whose elimination clique is maximal.
     bottom: list[int] = []
-    component: list[int] = []
     clique_of = [0] * full.n
-    tree = []
+    tree_separators: set[frozenset[int]] = set()
     for v in reversed(order):
-        k = len(bottom)  # the clique whose component v's new clique joins
         if later[v]:
             f = min(later[v], key=position.__getitem__)
             if len(later[v] - later[f]) != 1:
@@ -263,62 +263,41 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
                 bottom[k] = v
                 clique_of[v] = k
                 continue
-            tree.append((len(bottom), k, tuple(sorted(later[v]))))
+            tree_separators.add(frozenset(later[v]))
         clique_of[v] = len(bottom)
         bottom.append(v)
-        component.append(component[k] if later[v] else k)
 
-    unsorted = [tuple(sorted(later[b] | {b})) for b in bottom]
-    rank = sorted(range(len(unsorted)), key=unsorted.__getitem__)
-    cliques = [unsorted[k] for k in rank]
-    clique_id = [0] * len(rank)
-    for i, k in enumerate(rank):
-        clique_id[k] = i
+    cliques = sorted(tuple(sorted(later[b] | {b})) for b in bottom)
     holding: list[list[int]] = [[] for _ in range(full.n)]
     for i, clique in enumerate(cliques):
         for v in clique:
             holding[v].append(i)
-    tree_adj: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in cliques]
-    for a, b, sep in tree:
-        tree_adj[clique_id[a]].append((clique_id[b], sep))
-        tree_adj[clique_id[b]].append((clique_id[a], sep))
-
-    joins = []
-    for sep in {sep for _, _, sep in tree}:
+    pairs = [(0, 0, j, ()) for j in range(1, len(cliques))]
+    for sep in tree_separators:
         # Filter the shortest holding list: intersecting them all is
         # quadratic when one vertex is in every clique.
-        need = set(sep)
-        holders = {i for i in min((holding[v] for v in sep), key=len) if need.issubset(cliques[i])}
-        lowest = min(holders)
-        seen: set[int] = set()
-        for i in holders:
-            if i in seen:
-                continue
-            seen.add(i)
-            part = [i]
-            for c in part:
-                for d, label in tree_adj[c]:
-                    if d in holders and d not in seen and label != sep:
-                        seen.add(d)
-                        part.append(d)
-            if lowest not in part:
-                joins.append((-len(sep), lowest, min(part), sep))
-    joins.sort()
-    edges = [(i, j) for _, i, j, _ in joins]
-    separators = [sep for *_, sep in joins]
-    joined = set()
-    for m, k in enumerate(rank):
-        if component[k] not in joined:
-            joined.add(component[k])
-            if m:
-                edges.append((0, m))
-                separators.append(())
-    return JunctionTree(
-        n=full.n,
-        cliques=tuple(cliques),
-        edges=tuple(edges),
-        separators=tuple(separators),
-    )
+        shortest = min((holding[v] for v in sep), key=len)
+        lowest, *others = (i for i in shortest if sep.issubset(cliques[i]))
+        lowest_set = set(cliques[lowest])
+        for j in others:
+            common = tuple(v for v in cliques[j] if v in lowest_set)
+            pairs.append((-len(common), lowest, j, common))
+
+    parent = list(range(len(cliques)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    edges, separators = [], []
+    for _, i, j, common in sorted(pairs):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+            edges.append((i, j))
+            separators.append(common)
+    return JunctionTree(full.n, tuple(cliques), tuple(edges), tuple(separators))
 
 
 def running_intersection_holds(jt: JunctionTree) -> bool:

@@ -368,6 +368,25 @@ class TestBadInput:
         err = self.assert_error(capsys, code, argv)
         assert message in err
 
+    # The parser shifts by k to count the values: a negative k cannot be
+    # shifted by, and a huge one builds an integer too long to print.
+    @pytest.mark.parametrize("k", ["-1", "100000", "1000000000"])
+    def test_sub_arity_out_of_range(self, capsys, tmp_path, k):
+        path = tmp_path / "bad.adf"
+        path.write_text(f"adf 2 1\nsub {k} 0 1.0\n")
+        err = self.assert_error(capsys, 1, ["analyze", str(path), "--vig"])
+        assert err.startswith("error: line 2: ")
+        assert len(err) < 100
+
+    # A window of more than n variables repeats one; it is refused before
+    # n windows of that width are built, with a line that does not print one.
+    @pytest.mark.parametrize("command", ["marginals", "deception"])
+    @pytest.mark.parametrize("order", ["11", "2000000"])
+    def test_order_above_n(self, capsys, paper_file, command, order):
+        args = ["--optimum", "1111111111"] if command == "deception" else []
+        err = self.assert_error(capsys, 1, [command, paper_file, "--order", order, *args])
+        assert err == f"error: order {order} exceeds n=10: a window would repeat a variable\n"
+
     def test_optimum_length_checked_before_enumeration(self, capsys, tmp_path, monkeypatch):
         # n=26 is above the default enumeration cap: sweeping first would
         # end in the capacity error instead
@@ -413,8 +432,13 @@ class TestBadInput:
         ({"n": 1, "subfunctions": [{"scope": [0], "codomain": [1, "2.5"]}]}, "'2.5'"),
         ({"n": 1, "subfunctions": [{"scope": [0], "codomain": [1, 10 ** 400]}]}, "too large"),
         ({"n": 1, "subfunctions": [{"scope": [0], "codomain": [1, 2.5]}], "name": 7}, "name"),
+        ({"n": 2, "wgb": ["white", 5], "subfunctions": [{"scope": [0], "codomain": [0, 1]}]},
+         "wgb"),
+        ({"n": 2, "wgb": ["white", "grey"], "subfunctions": [{"scope": [0], "codomain": [0, 1]}]},
+         "wgb"),
     ], ids=["wgb-empty", "wgb-one-item", "n-float", "n-bool", "scope-float", "codomain-bool",
-            "codomain-string", "codomain-huge-int", "name-not-string"])
+            "codomain-string", "codomain-huge-int", "name-not-string", "wgb-unknown-int",
+            "wgb-unknown-name"])
     def test_malformed_json_instance(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
