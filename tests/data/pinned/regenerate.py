@@ -23,6 +23,8 @@ INSTANCES = {
                    "--seed", "1"],
     "cyclic.adf": ["gen", "--kind", "adjacent-cyclic", "--n", "40", "--k", "5", "--codomain",
                    "four-optima", "--seed", "1"],
+    "exact.adf": ["gen", "--kind", "adjacent-cyclic", "--n", "18", "--k", "3", "--codomain",
+                  "four-optima", "--seed", "1"],
 }
 
 

@@ -62,8 +62,9 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-# The pinned DOT views (`analyze --vig`, `--format dot`, ...) are not JSON.
-PINNED_JSON = [p for p in sorted(PINNED.glob("*.out")) if not p.read_text().startswith("graph ")]
+# The pinned DOT views (`analyze --vig`, `--format dot`, ...) and TSV tables are not JSON.
+PINNED_JSON = [p for p in sorted(PINNED.glob("*.out"))
+               if not p.read_text().startswith(("graph ", "config\t"))]
 
 
 class TestStrictJson:
