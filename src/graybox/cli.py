@@ -93,12 +93,11 @@ def cmd_analyze(args) -> int:
                 "fill_edges": [list(e) for e in sorted(completion.fill_edges)],
             }
             view = doc, completion.completed(), "json"
-        else:
+        elif args.junction_tree:
             jt = graphs.junction_tree(completion)
-            if args.junction_tree:
-                view = graphs.jt_to_json(jt), jt, "json"
-            else:
-                view = {"treewidth": jt.treewidth}, None, "text"
+            view = graphs.jt_to_json(jt), jt, "json"
+        else:
+            view = {"treewidth": completion.treewidth}, None, "text"
     doc, dot, default = view
     if (args.format or default) == "json":
         _emit(adf.json_text(doc), args.out)
@@ -110,8 +109,8 @@ def cmd_analyze(args) -> int:
 
 
 def _marginal_tables(args, optimum: adf.Bits | None = None) -> tuple[marginals.MarginalTable, ...]:
-    """The tables of the requested scopes, from one sweep over all 2^n solutions.
-    A given optimum's length is checked before the sweep."""
+    """The tables of the requested scopes (see marginals.enumerate_marginals).
+    A given optimum's length is checked before they are computed."""
     if args.stat == marginals.STAT_BOLTZMANN and args.beta is None:
         raise ConfigError("--stat boltzmann needs --beta")
     if args.beta is not None:

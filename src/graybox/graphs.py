@@ -86,6 +86,17 @@ class ChordalCompletion:
     def completed(self) -> InteractionGraph:
         return InteractionGraph(self.base.n, frozenset(self.base.edges | self.fill_edges))
 
+    @property
+    def treewidth(self) -> int:
+        """The largest elimination clique's size less one, which is the width of
+        the junction tree on this completion. A vertex's elimination clique is
+        itself and its completed-graph neighbours eliminated after it."""
+        position = {v: i for i, v in enumerate(self.elimination_order)}
+        later = [0] * self.base.n
+        for edge in self.base.edges | self.fill_edges:
+            later[min(edge, key=position.__getitem__)] += 1
+        return max(later)
+
 
 def _check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
     order = tuple(order)

@@ -1,9 +1,13 @@
-"""Exhaustive-enumeration statistics over small search spaces.
+"""Exact statistics over all 2^n solutions of small search spaces.
 
 Factor/hyperplane marginal tables (sums, means and Boltzmann marginals) and
 the deception diagnostic: a factor is deceptive when no best-statistic
-configuration matches the projection of a reference optimum. Everything here
-enumerates all 2^n solutions, so operations refuse above a configurable
+configuration matches the projection of a reference optimum. Sum and mean
+tables of a white-box instance with integer codomain values, small enough
+that every partial sum is an exact float, come from the additive structure
+in O(M*(2^k + 2^j)) per table of j variables, bit-identical to enumeration.
+Every other table (Boltzmann marginals, non-integer or large values, hidden
+structure) sweeps all 2^n solutions. Both paths refuse above a configurable
 variable limit instead of subsampling.
 """
 
@@ -16,8 +20,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, _validate_scope, config_bits, config_index
-from .adf import config_string, project
+from .adf import AdfInstance, Bits, _validate_scope, collapse, config_bits
+from .adf import config_index, config_string, project
 from .errors import CapacityError, ConfigError, StructuralError
 
 STAT_SUM = "sum"
@@ -96,11 +100,13 @@ def enumerate_marginals(
     kind: str = STAT_SUM,
     beta: float | None = None,
 ) -> tuple[MarginalTable, ...]:
-    """Full-enumeration marginal statistic for every scope, from one sweep.
+    """Exact marginal statistic over all 2^n solutions for every scope.
 
     STAT_SUM adds the fitness of every solution sharing each configuration;
     STAT_MEAN divides those sums by 2^(n-j); STAT_BOLTZMANN marginalizes the
     Boltzmann distribution at the given beta (guarded against overflow).
+    Sums come from the subfunctions when _sums_are_exact admits the
+    instance, else from one sweep over all solutions; the bits are the same.
     """
     _check_capacity(instance.n)
     if kind not in (STAT_SUM, STAT_MEAN, STAT_BOLTZMANN):
@@ -112,6 +118,55 @@ def enumerate_marginals(
     scopes = [tuple(map(int, scope)) for scope in scopes]
     for scope in scopes:
         _validate_scope(scope, instance.n)
+    if kind == STAT_BOLTZMANN or not _sums_are_exact(instance):
+        return _swept_marginals(instance, scopes, kind, beta)
+    return _tables(instance, scopes, kind, None, _additive_sums(instance, scopes))
+
+
+def _sums_are_exact(instance: AdfInstance) -> bool:
+    """Whether the structure is visible, every codomain value is an integer and
+    sum(|values|) * 2^n < 2^53. Every partial sum of a sum table, on either
+    path and in any order, is then an integer float below 2^53, so exact."""
+    if not instance.structure_visible:
+        return False
+    values = [v for sub in instance.subfunctions for v in sub.codomain]
+    if not all(float(v).is_integer() for v in values):
+        return False
+    return sum(abs(int(v)) for v in values) << instance.n < 1 << 53
+
+
+def _additive_sums(instance: AdfInstance, scopes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """The sum table of each scope S from the subfunctions (Heckendorn 2002):
+    each f_a collapsed onto its variables in S, in S's order, times the
+    2^(n-|S u s_a|) solutions that share each configuration of S u s_a. The
+    subfunctions sharing no variable with S add one constant to every entry."""
+    subs = [(sub, frozenset(sub.scope), float(sum(sub.codomain))) for sub in instance.subfunctions]
+    tables = []
+    for scope in scopes:
+        acc = np.zeros(1 << len(scope))  # never -0.0, like the sweep's
+        # One axis per scope variable, the first most significant as in
+        # project(), so a table over the shared variables in S's order
+        # broadcasts onto acc with a length-1 axis at every other variable.
+        axes = acc.reshape((2,) * len(scope))
+        members = set(scope)
+        rest = instance.n - len(scope)
+        constant = 0.0
+        for sub, variables, total in subs:
+            if members.isdisjoint(variables):
+                constant += math.ldexp(total, rest - sub.k)
+                continue
+            shared = tuple(v for v in scope if v in variables)
+            term = np.ldexp(collapse(sub.codomain, sub.scope, shared), rest - sub.k + len(shared))
+            axes += term.reshape([2 if v in variables else 1 for v in scope])
+        acc += constant
+        tables.append(acc)
+    return tables
+
+
+def _swept_marginals(
+    instance: AdfInstance, scopes: list[tuple[int, ...]], kind: str, beta: float | None
+) -> tuple[MarginalTable, ...]:
+    """The tables of enumerate_marginals from one sweep over all 2^n solutions."""
     accs = [np.zeros(1 << len(s)) for s in scopes]
     total = 0.0
     # np.add.at, not np.bincount: bincount restarts its sum in every chunk,
@@ -120,14 +175,25 @@ def enumerate_marginals(
         for acc, scope in zip(accs, scopes):
             np.add.at(acc, config_index(bits, scope), weights)
         total += float(weights.sum())
-    tables = []
-    for scope, acc in zip(scopes, accs):
-        if kind == STAT_BOLTZMANN:
+    if kind == STAT_BOLTZMANN:
+        for acc in accs:
             acc /= total
-        elif kind == STAT_MEAN:
+    return _tables(instance, scopes, kind, beta, accs)
+
+
+def _tables(
+    instance: AdfInstance,
+    scopes: list[tuple[int, ...]],
+    kind: str,
+    beta: float | None,
+    accs: list[np.ndarray],
+) -> tuple[MarginalTable, ...]:
+    """MarginalTables of the accumulated statistics; mean tables divide the sums here."""
+    if kind == STAT_MEAN:
+        for scope, acc in zip(scopes, accs):
             acc /= 1 << (instance.n - len(scope))
-        tables.append(MarginalTable(scope, kind, tuple(acc), instance.n, beta))
-    return tuple(tables)
+    return tuple(MarginalTable(s, kind, tuple(acc), instance.n, beta)
+                 for s, acc in zip(scopes, accs))
 
 
 def enumerate_marginal(
@@ -136,7 +202,7 @@ def enumerate_marginal(
     kind: str = STAT_SUM,
     beta: float | None = None,
 ) -> MarginalTable:
-    """Full-enumeration marginal statistic for one scope (see enumerate_marginals)."""
+    """Exact marginal statistic for one scope (see enumerate_marginals)."""
     return enumerate_marginals(instance, [scope], kind=kind, beta=beta)[0]
 
 

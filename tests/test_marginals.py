@@ -1,6 +1,7 @@
 """Exhaustive marginal statistics, Boltzmann marginals, deception reports."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from graybox.adf import (
     AdfInstance,
     GeneratorSpec,
     Subfunction,
+    Visibility,
     collapse,
     generate,
     order_scopes,
     paper_example,
     project,
+    serialize,
 )
+from graybox.cli import main
 from graybox.errors import CapacityError, StructuralError
 from graybox.marginals import (
     STAT_BOLTZMANN,
@@ -130,6 +134,63 @@ class TestEnumerateMarginal:
         tables = [enumerate_marginal(inst, s, STAT_SUM) for s in order_scopes(inst, 3)]
         golden_text = resources.files("graybox").joinpath("golden/order3.tsv").read_text()
         assert tables_to_tsv(tables) == golden_text
+
+
+@pytest.fixture
+def batch_rows(monkeypatch):
+    """The row count of every AdfInstance.evaluate_batch call; none means
+    the tables came from the additive structure, not a sweep."""
+    rows = []
+    evaluate_batch = AdfInstance.evaluate_batch
+
+    def counted(self, bits):
+        rows.append(len(bits))
+        return evaluate_batch(self, bits)
+
+    monkeypatch.setattr(AdfInstance, "evaluate_batch", counted)
+    return rows
+
+
+class TestAdditivePath:
+    """Sum and mean tables skip the sweep only where every partial sum is exact:
+    visible structure, integer values and sum(|values|) * 2^n < 2^53."""
+
+    @pytest.mark.parametrize("values, rows", [
+        ((2.0**51, 2.0**51 - 1), []),  # (2^52 - 1) * 2 < 2^53
+        ((2.0**51, 2.0**51), [2]),  # 2^52 * 2 = 2^53
+    ])
+    def test_bound_at_two_to_the_53(self, batch_rows, values, rows):
+        inst = AdfInstance(1, (Subfunction((0,), values),))
+        assert enumerate_marginal(inst, (0,), STAT_SUM).values == values
+        assert batch_rows == rows
+
+    def test_non_integer_value_sweeps(self, batch_rows):
+        inst = AdfInstance(2, (Subfunction((0, 1), (0.0, 1.0, 2.0, 0.5)),))
+        assert enumerate_marginal(inst, (1,), STAT_MEAN).values == (1.0, 0.75)
+        assert batch_rows == [4]
+
+    def test_integer_instance_takes_no_sweep(self, batch_rows):
+        inst = paper_example()
+        for kind in (STAT_SUM, STAT_MEAN):
+            enumerate_marginals(inst, order_scopes(inst, 5), kind)
+        assert batch_rows == []
+        enumerate_marginal(inst, (0, 1), STAT_BOLTZMANN, beta=1.0)
+        assert batch_rows == [1024, 1024]  # the max fitness, then the weights
+
+    @pytest.mark.parametrize("command", [["marginals", "--stat", "mean"],
+                                         ["deception", "--optimum", "1" * 10]])
+    def test_gray_twin_sweeps_and_prints_the_same_bytes(
+        self, batch_rows, capsys, tmp_path, command
+    ):
+        outputs = []
+        for wgb in ("white", "gray"):
+            inst = replace(paper_example(), wgb=(Visibility(wgb), Visibility.WHITE))
+            path = tmp_path / f"{wgb}.adf"
+            path.write_text(serialize(inst))
+            assert main([command[0], str(path), "--order", "4", *command[1:]]) == 0
+            outputs.append(capsys.readouterr().out)
+            assert len(batch_rows) == (0 if wgb == "white" else 1)
+        assert outputs[0] == outputs[1]
 
 
 class TestBoltzmann:

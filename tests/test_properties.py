@@ -66,6 +66,8 @@ from graybox.marginals import (
     STAT_BOLTZMANN,
     STAT_MEAN,
     STAT_SUM,
+    _sums_are_exact,
+    _swept_marginals,
     deception_report,
     enumerate_marginal,
     enumerate_marginals,
@@ -207,6 +209,40 @@ def test_one_sweep_equals_per_scope_tables_and_oracle(case, beta):
 
 
 @st.composite
+def integer_instances_with_scopes(draw):
+    """An integer instance (n <= 12, -0.0 among its values) whose subfunctions
+    cover only some of the variables, and unsorted scopes over all of them,
+    one of them on uncovered variables only when there are any."""
+    n = draw(st.integers(1, 12))
+    covered = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    values = st.one_of(st.integers(-20, 20).map(float), st.just(-0.0))
+    subs = []
+    for _ in range(draw(st.integers(1, 6))):
+        scope = tuple(draw(st.permutations(covered))[: draw(st.integers(1, min(len(covered), 4)))])
+        codomain = draw(st.lists(values, min_size=1 << len(scope), max_size=1 << len(scope)))
+        subs.append(Subfunction(scope, tuple(codomain)))
+    scopes = [_scope(draw, n) for _ in range(draw(st.integers(1, 4)))]
+    uncovered = sorted(set(range(n)) - set(covered))
+    if uncovered:
+        scopes.append(tuple(draw(st.permutations(uncovered))))
+    return AdfInstance(n=n, subfunctions=tuple(subs)), scopes
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_instances_with_scopes())
+def test_additive_tables_equal_the_sweep_bit_for_bit(case):
+    instance, scopes = case
+    assert _sums_are_exact(instance)
+    for kind in (STAT_SUM, STAT_MEAN):
+        additive = enumerate_marginals(instance, scopes, kind)
+        swept = _swept_marginals(instance, scopes, kind, None)
+        assert [[v.hex() for v in t.values] for t in additive] == [
+            [v.hex() for v in t.values] for t in swept
+        ]
+        assert additive == swept
+
+
+@st.composite
 def graphs(draw):
     n = draw(st.integers(1, 14))
     pairs = list(combinations(range(n), 2))
@@ -277,7 +313,9 @@ def test_structure_build_equals_full_scan_reference(graph, data):
     for heuristic in _heuristics(data.draw, graph.n):
         completion = triangulate(graph, heuristic)
         assert completion == reference_triangulate(graph, heuristic)
-        assert junction_tree(completion) == reference_junction_tree(completion)
+        jt = junction_tree(completion)
+        assert jt == reference_junction_tree(completion)
+        assert completion.treewidth == jt.treewidth
     # an order replayed without its fill: either a tree or the same error
     bogus = ChordalCompletion(graph, frozenset(), tuple(data.draw(st.permutations(range(graph.n)))))
     assert _outcome(junction_tree, bogus) == _outcome(reference_junction_tree, bogus)
