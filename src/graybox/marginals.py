@@ -138,9 +138,8 @@ def _sums_are_exact(instance: AdfInstance) -> bool:
 def _additive_sums(instance: AdfInstance, scopes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """The sum table of each scope S from the subfunctions (Heckendorn 2002):
     each f_a collapsed onto its variables in S, in S's order, times the
-    2^(n-|S u s_a|) solutions that share each configuration of S u s_a. The
-    subfunctions sharing no variable with S add one constant to every entry."""
-    subs = [(sub, frozenset(sub.scope), float(sum(sub.codomain))) for sub in instance.subfunctions]
+    2^(n-|S u s_a|) solutions that share each configuration of S u s_a."""
+    subs = [(sub, frozenset(sub.scope)) for sub in instance.subfunctions]
     tables = []
     for scope in scopes:
         acc = np.zeros(1 << len(scope))  # never -0.0, like the sweep's
@@ -148,17 +147,11 @@ def _additive_sums(instance: AdfInstance, scopes: list[tuple[int, ...]]) -> list
         # project(), so a table over the shared variables in S's order
         # broadcasts onto acc with a length-1 axis at every other variable.
         axes = acc.reshape((2,) * len(scope))
-        members = set(scope)
         rest = instance.n - len(scope)
-        constant = 0.0
-        for sub, variables, total in subs:
-            if members.isdisjoint(variables):
-                constant += math.ldexp(total, rest - sub.k)
-                continue
+        for sub, variables in subs:
             shared = tuple(v for v in scope if v in variables)
             term = np.ldexp(collapse(sub.codomain, sub.scope, shared), rest - sub.k + len(shared))
             axes += term.reshape([2 if v in variables else 1 for v in scope])
-        acc += constant
         tables.append(acc)
     return tables
 
