@@ -114,8 +114,9 @@ class TestTypes:
             Subfunction((0, 1, 2), (0.0,) * 7)
 
     def test_scope_out_of_range(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError) as exc:
             make_instance(3, [(0, 3)], [(0, 0, 0, 0)])
+        assert str(exc.value) == "subfunction 0: scope index 3 out of range for n=3"
 
     def test_non_finite_codomain(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -244,6 +245,27 @@ class TestSerialization:
     def test_scope_index_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
             parse("adf 3 1\nsub 2 0 3 1 2 3 4\n")
+
+    # Both readers give each scope refusal the same words, prefixed by where it is.
+    @pytest.mark.parametrize("text, message", [
+        ("adf 3 1\nsub 2 0 3 1 2 3 4\n", "subfunction 0: scope index 3 out of range for n=3"),
+        ("adf 3 2\nsub 1 0 0 1\nsub 2 0 -1 1 2 3 4\n",
+         "subfunction 1: scope index -1 out of range for n=3"),
+        ('{"n": 3, "subfunctions": [{"scope": [0, 3], "codomain": [1, 2, 3, 4]}]}',
+         "subfunction 0: scope index 3 out of range for n=3"),
+        ("adf 3 1\nsub 2 0 0 1 2 3 4\n", "line 2: duplicate variable in scope (0, 0)"),
+        ('{"n": 3, "subfunctions": [{"scope": [1, 1], "codomain": [1, 2, 3, 4]}]}',
+         "subfunction 0: duplicate variable in scope (1, 1)"),
+        ('{"n": 3, "subfunctions": [{"scope": [], "codomain": [1]}]}',
+         "subfunction 0: scope must contain at least one variable"),
+        ('{"n": 0, "subfunctions": []}', "instance needs at least one variable"),
+        ('{"n": 2, "subfunctions": []}', "instance needs at least one subfunction"),
+    ], ids=["text-range", "text-range-negative", "json-range", "text-repeat", "json-repeat",
+            "json-empty", "json-no-variable", "json-no-subfunction"])
+    def test_scope_refusal_text(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
 
     def test_wrong_codomain_count(self):
         with pytest.raises(ParseError, match="values"):

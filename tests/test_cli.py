@@ -369,6 +369,33 @@ class TestBadInput:
         err = self.assert_error(capsys, code, argv)
         assert message in err
 
+    # Every refusal of an instance file, word for word: exit 1 and one error line.
+    @pytest.mark.parametrize("text, message", [
+        ("adf 3\n", "line 1: expected 'adf <n> <M>'"),
+        ("adf x 1\n", "line 1: n and M must be integers"),
+        ("adf 1 1\nwgb white\nsub 1 0 0 1\n",
+         "line 2: expected 'wgb <structure> <subfunctions>'"),
+        ("adf 1 1\nwgb white purple\nsub 1 0 0 1\n", "line 2: unknown visibility 'purple'"),
+        ("adf 1 1\nsub\n", "line 2: expected 'sub <k> ...'"),
+        ("adf 1 1\nsub x 0 0 1\n", "line 2: expected 'sub <k> ...'"),
+        ("adf 1 1\nsub 1 0 0 one\n", "line 2: malformed number"),
+        ("wgb white white\n", "missing 'adf <n> <M>' header"),
+        ("{bad", "invalid JSON: Expecting property name enclosed in double quotes:"
+                 " line 1 column 2 (char 1)"),
+        ("adf 0 0\n", "instance needs at least one variable"),
+        ("adf 2 0\n", "instance needs at least one subfunction"),
+        ("adf 3 1\nsub 2 0 3 1 2 3 4\n", "subfunction 0: scope index 3 out of range for n=3"),
+        ('{"n": 3, "subfunctions": [{"scope": [0, 3], "codomain": [1, 2, 3, 4]}]}',
+         "subfunction 0: scope index 3 out of range for n=3"),
+    ], ids=["adf-fields", "adf-not-integer", "wgb-fields", "wgb-unknown", "sub-bare",
+            "sub-k-not-integer", "sub-value-not-number", "no-adf-header", "json-invalid",
+            "no-variable", "no-subfunction", "text-range", "json-range"])
+    def test_refused_instance_text(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.adf"
+        path.write_text(text)
+        err = self.assert_error(capsys, 1, ["analyze", str(path), "--treewidth"])
+        assert err == f"error: {message}\n"
+
     # The parser shifts by k to count the values: a negative k cannot be
     # shifted by, and a huge one builds an integer too long to print.
     @pytest.mark.parametrize("k", ["-1", "100000", "1000000000"])
