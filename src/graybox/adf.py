@@ -33,14 +33,17 @@ class Visibility(str, Enum):
     BLACK = "black"
 
 
-def _validate_scope(scope: Sequence[int], n: int | None = None) -> None:
-    """StructuralError unless the scope is nonempty, repeats no variable and,
-    when n is given, lies in range(n)."""
+def _validate_scope(scope: Sequence[int]) -> None:
+    """StructuralError unless the scope is nonempty and repeats no variable."""
     if len(scope) < 1:
         raise StructuralError("scope must contain at least one variable")
     if len(set(scope)) != len(scope):
         raise StructuralError(f"duplicate variable in scope {scope}")
-    if n is not None and (min(scope) < 0 or max(scope) >= n):
+
+
+def _check_range(scope: Sequence[int], n: int) -> None:
+    """StructuralError unless every index of the nonempty scope lies in range(n)."""
+    if min(scope) < 0 or max(scope) >= n:
         v = next(v for v in scope if not 0 <= v < n)
         raise StructuralError(f"scope index {v} out of range for n={n}")
 
@@ -145,7 +148,7 @@ class AdfInstance:
             raise StructuralError("instance needs at least one subfunction")
         for i, sub in enumerate(self.subfunctions):
             try:
-                _validate_scope(sub.scope, self.n)
+                _check_range(sub.scope, self.n)
             except StructuralError as exc:
                 raise StructuralError(f"subfunction {i}: {exc}") from None
 
@@ -217,22 +220,17 @@ ADJACENT_CYCLIC = "adjacent-cyclic"
 ADJACENT_ACYCLIC = "adjacent-acyclic"
 RANDOM_SCOPES = "random-scopes"
 SEPARABLE = "separable"
-PAPER_EXAMPLE = "paper-example"
 
-KINDS = (ADJACENT_CYCLIC, ADJACENT_ACYCLIC, RANDOM_SCOPES, SEPARABLE, PAPER_EXAMPLE)
+KINDS = (ADJACENT_CYCLIC, ADJACENT_ACYCLIC, RANDOM_SCOPES, SEPARABLE)
 
 CODOMAIN_UNIFORM = "uniform"
 CODOMAIN_FOUR_OPTIMA = "four-optima"
 
-# The published ten-variable worked example: cyclic adjacent structure, each
-# subfunction valued 1 at four local optima (one of them 111) and 0 elsewhere.
-# The global optimum is the all-ones string with fitness 10. Subfunction i
-# covers the window starting at variable i-1; this alignment is the one that
-# reproduces the published marginal tables exactly (see graybox/golden/).
-_EXAMPLE_SCOPES = (
-    (0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6),
-    (5, 6, 7), (6, 7, 8), (7, 8, 9), (8, 9, 0), (9, 0, 1),
-)
+# The published ten-variable worked example: the adjacent-cyclic n=10 k=3
+# layout, each subfunction valued 1 at four local optima (one of them 111) and
+# 0 elsewhere. The global optimum is the all-ones string with fitness 10.
+# Subfunction i covers the window starting at variable i-1; this alignment is
+# the one that reproduces the published marginal tables exactly (graybox/golden/).
 _EXAMPLE_CODOMAINS = (
     (1, 1, 0, 0, 1, 0, 0, 1),
     (0, 1, 0, 1, 1, 0, 0, 1),
@@ -271,8 +269,6 @@ class GeneratorSpec:
         for name, seed in (("seed", self.seed), ("codomain seed", self.codomain_seed)):
             if seed is not None and seed < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {seed}")
-        if self.kind == PAPER_EXAMPLE:
-            return
         if self.n < 1 or self.k < 1:
             raise ConfigError("n and k must be positive")
         if self.k > self.n:
@@ -294,14 +290,16 @@ class GeneratorSpec:
 
 def paper_example() -> AdfInstance:
     """The bundled ten-variable cyclic example used by the replication command."""
+    scopes = _scopes_for(GeneratorSpec(ADJACENT_CYCLIC, n=10, k=3), None)
     subs = tuple(
         Subfunction(scope, tuple(float(v) for v in cod))
-        for scope, cod in zip(_EXAMPLE_SCOPES, _EXAMPLE_CODOMAINS)
+        for scope, cod in zip(scopes, _EXAMPLE_CODOMAINS)
     )
-    return AdfInstance(n=10, subfunctions=subs, name=PAPER_EXAMPLE)
+    return AdfInstance(n=10, subfunctions=subs, name="paper-example")
 
 
-def _scopes_for(spec: GeneratorSpec, rng: np.random.Generator) -> list[tuple[int, ...]]:
+def _scopes_for(spec: GeneratorSpec, rng: np.random.Generator | None) -> list[tuple[int, ...]]:
+    """The scope layout of the spec's kind; only random scopes draw from rng."""
     n, k = spec.n, spec.k
     if spec.kind == ADJACENT_CYCLIC:
         return [tuple((i + d) % n for d in range(k)) for i in range(n)]
@@ -309,13 +307,8 @@ def _scopes_for(spec: GeneratorSpec, rng: np.random.Generator) -> list[tuple[int
         return [tuple(range(i, i + k)) for i in range(n - k + 1)]
     if spec.kind == SEPARABLE:
         return [tuple(range(b * k, (b + 1) * k)) for b in range(n // k)]
-    if spec.kind == RANDOM_SCOPES:
-        m = spec.m if spec.m is not None else n
-        return [
-            tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-            for _ in range(m)
-        ]
-    raise ConfigError(f"kind {spec.kind!r} has no scope layout")
+    m = spec.m if spec.m is not None else n
+    return [tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False))) for _ in range(m)]
 
 
 def _codomain_for(spec: GeneratorSpec, k: int, rng: np.random.Generator) -> tuple[float, ...]:
@@ -333,8 +326,6 @@ def _codomain_for(spec: GeneratorSpec, k: int, rng: np.random.Generator) -> tupl
 
 def generate(spec: GeneratorSpec) -> AdfInstance:
     """Build the instance a GeneratorSpec describes; deterministic per seed."""
-    if spec.kind == PAPER_EXAMPLE:
-        return paper_example()
     scope_seq, codomain_seq = np.random.SeedSequence(spec.seed).spawn(2)
     scope_rng = np.random.default_rng(scope_seq)
     if spec.codomain_seed is not None:
@@ -432,11 +423,13 @@ def _parse_visibility(token: str, lineno: int) -> Visibility:
 
 
 def parse(text: str) -> AdfInstance:
-    """Parse either the text format or the JSON mirror (auto-detected)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json(text)
-    return _parse_text(text)
+    """Parse either the text format or the JSON mirror (auto-detected); the
+    AdfInstance constructor's refusals become ParseErrors with the same text."""
+    reader = _parse_json if text.lstrip().startswith("{") else _parse_text
+    try:
+        return reader(text)
+    except StructuralError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _parse_text(text: str) -> AdfInstance:
@@ -507,10 +500,7 @@ def _parse_text(text: str) -> AdfInstance:
         raise ParseError("missing 'adf <n> <M>' header")
     if declared_m != len(subs):
         raise ParseError(f"header declares {declared_m} subfunctions, found {len(subs)}")
-    try:
-        return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=name)
-    except StructuralError as exc:
-        raise ParseError(str(exc)) from None
+    return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=name)
 
 
 def _parse_json(text: str) -> AdfInstance:
@@ -540,8 +530,6 @@ def _parse_json(text: str) -> AdfInstance:
         return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=name)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed instance document: {exc}") from None
-    except StructuralError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def bits_from_string(text: str) -> tuple[int, ...]:

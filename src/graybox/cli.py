@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--paper-example", action="store_true",
                    help="emit the bundled ten-variable worked example")
-    p.add_argument("--kind", choices=[k for k in adf.KINDS if k != adf.PAPER_EXAMPLE])
+    p.add_argument("--kind", choices=adf.KINDS)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--m", type=int, default=None)

@@ -20,8 +20,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, _validate_scope, collapse, config_bits
-from .adf import config_index, config_string, project
+from .adf import AdfInstance, Bits, _check_range, _validate_scope, collapse
+from .adf import config_bits, config_index, config_string, project
 from .errors import CapacityError, ConfigError, StructuralError
 
 STAT_SUM = "sum"
@@ -117,7 +117,8 @@ def enumerate_marginals(
         beta = None
     scopes = [tuple(map(int, scope)) for scope in scopes]
     for scope in scopes:
-        _validate_scope(scope, instance.n)
+        _validate_scope(scope)
+        _check_range(scope, instance.n)
     if kind == STAT_BOLTZMANN or not _sums_are_exact(instance):
         return _swept_marginals(instance, scopes, kind, beta)
     return _tables(instance, scopes, kind, None, _additive_sums(instance, scopes))

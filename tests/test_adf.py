@@ -191,6 +191,7 @@ class TestGenerate:
             dict(kind=ADJACENT_CYCLIC, n=4, k=1, codomain=CODOMAIN_FOUR_OPTIMA),
             dict(kind=ADJACENT_CYCLIC, n=2, k=5),
             dict(kind="no-such-kind", n=4, k=2),
+            dict(kind="paper-example"),  # built by paper_example() alone
         ],
     )
     def test_inconsistent_specs(self, kwargs):
