@@ -435,7 +435,7 @@ def parse(text: str) -> AdfInstance:
 def _parse_text(text: str) -> AdfInstance:
     n = None
     declared_m = None
-    wgb = (Visibility.WHITE, Visibility.WHITE)
+    wgb = None
     name = ""
     subs: list[Subfunction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -455,6 +455,8 @@ def _parse_text(text: str) -> AdfInstance:
         fields = line.split()
         tag = fields[0]
         if tag == "adf":
+            if n is not None:
+                raise ParseError(f"line {lineno}: repeated 'adf' header")
             if len(fields) != 3:
                 raise ParseError(f"line {lineno}: expected 'adf <n> <M>'")
             try:
@@ -462,6 +464,8 @@ def _parse_text(text: str) -> AdfInstance:
             except ValueError:
                 raise ParseError(f"line {lineno}: n and M must be integers") from None
         elif tag == "wgb":
+            if wgb is not None:
+                raise ParseError(f"line {lineno}: repeated 'wgb' line")
             if len(fields) != 3:
                 raise ParseError(f"line {lineno}: expected 'wgb <structure> <subfunctions>'")
             wgb = (_parse_visibility(fields[1], lineno), _parse_visibility(fields[2], lineno))
@@ -500,6 +504,7 @@ def _parse_text(text: str) -> AdfInstance:
         raise ParseError("missing 'adf <n> <M>' header")
     if declared_m != len(subs):
         raise ParseError(f"header declares {declared_m} subfunctions, found {len(subs)}")
+    wgb = wgb or (Visibility.WHITE, Visibility.WHITE)
     return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=name)
 
 
