@@ -74,8 +74,9 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     instance = _load_instance(args.instance)
     heuristic: str | tuple[int, ...] = args.heuristic
-    if args.elimination_order is not None:
-        heuristic = _parse_ints(args.elimination_order, "--elimination-order")
+    if args.elimination_order is not None:  # checked even for a view that ignores it
+        order = _parse_ints(args.elimination_order, "--elimination-order")
+        heuristic = graphs.check_order(instance.n, order)
 
     # Each view: its JSON document, its DOT object (None: plain text) and its
     # format when --format is not given.

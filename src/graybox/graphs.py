@@ -91,14 +91,16 @@ class ChordalCompletion:
         """The largest elimination clique's size less one, which is the width of
         the junction tree on this completion. A vertex's elimination clique is
         itself and its completed-graph neighbours eliminated after it."""
-        position = {v: i for i, v in enumerate(self.elimination_order)}
+        order = check_order(self.base.n, self.elimination_order)
+        position = {v: i for i, v in enumerate(order)}
         later = [0] * self.base.n
         for edge in self.base.edges | self.fill_edges:
             later[min(edge, key=position.__getitem__)] += 1
         return max(later)
 
 
-def _check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
+def check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
+    """The one check of an elimination order: a permutation of range(n)."""
     order = tuple(order)
     if sorted(order) != list(range(n)):
         raise StructuralError("elimination order must be a permutation of the vertices")
@@ -189,7 +191,7 @@ def triangulate(
     is deterministic for a given heuristic.
     """
     if not isinstance(heuristic, str):
-        heuristic = _check_order(graph.n, heuristic)
+        heuristic = check_order(graph.n, heuristic)
     elif heuristic not in (MIN_FILL, MIN_DEGREE):
         raise StructuralError(f"unknown triangulation heuristic {heuristic!r}")
     order, fill = _eliminate(graph, heuristic)
@@ -241,7 +243,7 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     on the completed graph would still need fill (i.e. it is not chordal).
     """
     full = completion.completed()
-    order = _check_order(full.n, completion.elimination_order)
+    order = check_order(full.n, completion.elimination_order)
     position = [0] * full.n
     for i, v in enumerate(order):
         position[v] = i

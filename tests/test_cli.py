@@ -295,6 +295,14 @@ class TestBadInput:
         )
         assert "--elimination-order" in err
 
+    # The VIG and factor-graph views ignore the order, but it is still checked.
+    @pytest.mark.parametrize("view", ["--vig", "--factor-graph", "--treewidth"])
+    def test_elimination_order_not_a_permutation(self, capsys, paper_file, view):
+        err = self.assert_error(
+            capsys, 1, ["analyze", paper_file, view, "--elimination-order", "5,5,5"]
+        )
+        assert err == "error: elimination order must be a permutation of the vertices\n"
+
     def test_instance_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "bad.adf"
         path.write_bytes(b"\xff\xfe")

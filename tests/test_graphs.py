@@ -194,6 +194,13 @@ class TestJunctionTree:
         with pytest.raises(StructuralError, match="permutation"):
             junction_tree(bogus)
 
+    def test_treewidth_order_must_be_a_permutation(self):
+        # vertex 2 has no position: reading the width ended in a KeyError
+        bogus = ChordalCompletion(graph(3, (1, 2)), frozenset(), (0, 1, 1))
+        with pytest.raises(StructuralError) as exc:
+            bogus.treewidth
+        assert str(exc.value) == "elimination order must be a permutation of the vertices"
+
     @pytest.mark.parametrize("n", [5, 6, 9, 10, 11, 40, 250, 1000])
     def test_cyclic_sweep_equals_full_scan_reference(self, n):
         vig = build_vig(generate(GeneratorSpec(ADJACENT_CYCLIC, n=n, k=5)))
