@@ -110,9 +110,9 @@ def estimate(
     tables = []
     for f in factorization.factors:
         rows, cols = 1 << len(f.cond), 1 << len(f.new)
-        counts = np.zeros((rows, cols))
-        np.add.at(counts, (config_index(bits, f.cond), config_index(bits, f.new)), 1.0)
-        counts += smoothing
+        # whole-number counts, so the order of counting changes no bit
+        counts = np.bincount(config_index(bits, f.cond + f.new), minlength=rows * cols)
+        counts = counts.reshape(rows, cols) + float(smoothing)
         with np.errstate(over="ignore"):
             totals = counts.sum(axis=1, keepdims=True)
         if not np.isfinite(totals).all():
