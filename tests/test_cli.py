@@ -392,17 +392,13 @@ class TestBadInput:
                  " line 1 column 2 (char 1)"),
         ("adf 0 0\n", "instance needs at least one variable"),
         ("adf 2 0\n", "instance needs at least one subfunction"),
-        ("adf 3 1\nsub 2 0 3 1 2 3 4\n", "subfunction 0: scope index 3 out of range for n=3"),
-        ('{"n": 3, "subfunctions": [{"scope": [0, 3], "codomain": [1, 2, 3, 4]}]}',
-         "subfunction 0: scope index 3 out of range for n=3"),
         # a second header used to replace the first: this file loaded with n=5
         ("adf 3 1\nsub 2 0 1 0 1 2 3\nadf 5 1\n", "line 3: repeated 'adf' header"),
         ("adf 3 1\nwgb white white\nwgb gray white\nsub 1 0 0 1\n",
          "line 3: repeated 'wgb' line"),
     ], ids=["adf-fields", "adf-not-integer", "wgb-fields", "wgb-unknown", "sub-bare",
             "sub-k-not-integer", "sub-value-not-number", "no-adf-header", "json-invalid",
-            "no-variable", "no-subfunction", "text-range", "json-range", "adf-repeated",
-            "wgb-repeated"])
+            "no-variable", "no-subfunction", "adf-repeated", "wgb-repeated"])
     def test_refused_instance_text(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.adf"
         path.write_text(text)
