@@ -110,7 +110,6 @@ def estimate(
     tables = []
     for f in factorization.factors:
         rows, cols = 1 << len(f.cond), 1 << len(f.new)
-        # whole-number counts, so the order of counting changes no bit
         counts = np.bincount(config_index(bits, f.cond + f.new), minlength=rows * cols)
         counts = counts.reshape(rows, cols) + float(smoothing)
         with np.errstate(over="ignore"):
