@@ -89,14 +89,8 @@ class ChordalCompletion:
     @property
     def treewidth(self) -> int:
         """The largest elimination clique's size less one, which is the width of
-        the junction tree on this completion. A vertex's elimination clique is
-        itself and its completed-graph neighbours eliminated after it."""
-        order = check_order(self.base.n, self.elimination_order)
-        position = {v: i for i, v in enumerate(order)}
-        later = [0] * self.base.n
-        for edge in self.base.edges | self.fill_edges:
-            later[min(edge, key=position.__getitem__)] += 1
-        return max(later)
+        the junction tree on this completion; no tree is built."""
+        return max(map(len, _later_neighbours(self)[1]))
 
 
 def check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
@@ -105,6 +99,21 @@ def check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
     if sorted(order) != list(range(n)):
         raise StructuralError("elimination order must be a permutation of the vertices")
     return order
+
+
+def _later_neighbours(completion: ChordalCompletion) -> tuple[list[int], list[set[int]]]:
+    """Each vertex's position in the checked elimination order, and its completed-graph
+    neighbours eliminated after it: its elimination clique less itself."""
+    full = completion.completed()
+    order = check_order(full.n, completion.elimination_order)
+    position = [0] * full.n
+    for i, v in enumerate(order):
+        position[v] = i
+    later = [
+        {u for u in nbrs if position[u] > position[v]}
+        for v, nbrs in enumerate(full.adjacency())
+    ]
+    return position, later
 
 
 def _eliminate(
@@ -242,15 +251,8 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     Raises StructuralError if replaying the completion's elimination order
     on the completed graph would still need fill (i.e. it is not chordal).
     """
-    full = completion.completed()
-    order = check_order(full.n, completion.elimination_order)
-    position = [0] * full.n
-    for i, v in enumerate(order):
-        position[v] = i
-    later = [
-        {u for u in nbrs if position[u] > position[v]}
-        for v, nbrs in enumerate(full.adjacency())
-    ]
+    position, later = _later_neighbours(completion)
+    order, n = completion.elimination_order, len(later)
 
     # One clique tree from the elimination order (Blair & Peyton 1993), walked
     # backwards. The follower f of v is its first later-eliminated neighbour;
@@ -260,13 +262,13 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     # f by the separator later[v]. A clique's vertices are then those of its
     # last joined vertex, whose elimination clique is maximal.
     bottom: list[int] = []
-    clique_of = [0] * full.n
+    clique_of = [0] * n
     tree_separators: set[frozenset[int]] = set()
     for v in reversed(order):
         if later[v]:
             f = min(later[v], key=position.__getitem__)
             if len(later[v] - later[f]) != 1:
-                _, fill = _eliminate(full, order)
+                _, fill = _eliminate(completion.completed(), order)
                 raise StructuralError(
                     "graph is not chordal along the elimination order: "
                     f"missing edges {sorted(fill)}"
@@ -281,7 +283,7 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
         bottom.append(v)
 
     cliques = sorted(tuple(sorted(later[b] | {b})) for b in bottom)
-    holding: list[list[int]] = [[] for _ in range(full.n)]
+    holding: list[list[int]] = [[] for _ in range(n)]
     for i, clique in enumerate(cliques):
         for v in clique:
             holding[v].append(i)
@@ -310,7 +312,7 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
             parent[rj] = ri
             edges.append((i, j))
             separators.append(common)
-    return JunctionTree(full.n, tuple(cliques), tuple(edges), tuple(separators))
+    return JunctionTree(n, tuple(cliques), tuple(edges), tuple(separators))
 
 
 def running_intersection_holds(jt: JunctionTree) -> bool:

@@ -48,24 +48,12 @@ def _check_capacity(n: int) -> None:
         raise CapacityError(f"exhaustive enumeration refused: n={n} exceeds limit {cap}")
 
 
-def _weighted_chunks(
-    instance: AdfInstance, beta: float | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (bit matrix, weight vector) over all 2^n solutions, in id order.
+def _fitness_chunks(instance: AdfInstance) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (bit matrix, fitness vector) over all 2^n solutions, in id order.
 
     Solution id s is the configuration index of the solution over scope
     (0, ..., n-1), so x_0 is its most significant bit.
-    The weight is the fitness itself when beta is None, else the Boltzmann
-    weight exp(beta * (f - fmax)), after a first sweep for the max fitness.
     """
-    if beta is not None:
-        fmax = max(float(fitness.max()) for _, fitness in _weighted_chunks(instance))
-        for bits, fitness in _weighted_chunks(instance):
-            # An overflowing beta * (f - fmax) is -inf: weight 0, the beta -> inf limit.
-            with np.errstate(over="ignore"):
-                weights = np.exp(beta * (fitness - fmax))
-            yield bits, weights
-        return
     total = 1 << instance.n
     step = min(total, 1 << _CHUNK_BITS)
     for start in range(0, total, step):
@@ -160,16 +148,24 @@ def _additive_sums(instance: AdfInstance, scopes: list[tuple[int, ...]]) -> list
 def _swept_marginals(
     instance: AdfInstance, scopes: list[tuple[int, ...]], kind: str, beta: float | None
 ) -> tuple[MarginalTable, ...]:
-    """The tables of enumerate_marginals from one sweep over all 2^n solutions."""
+    """The tables of enumerate_marginals from one sweep over all 2^n solutions, each
+    weighing its fitness, or exp(beta * (f - fmax)) after a first sweep for fmax."""
+    boltzmann = kind == STAT_BOLTZMANN
+    if boltzmann:
+        fmax = max(float(fitness.max()) for _, fitness in _fitness_chunks(instance))
     accs = [np.zeros(1 << len(s)) for s in scopes]
     total = 0.0
     # np.add.at, not np.bincount: bincount restarts its sum in every chunk,
     # which changes the float bits of the tables once n exceeds _CHUNK_BITS.
-    for bits, weights in _weighted_chunks(instance, beta):
+    for bits, weights in _fitness_chunks(instance):
+        if boltzmann:
+            # An overflowing beta * (f - fmax) is -inf: weight 0, the beta -> inf limit.
+            with np.errstate(over="ignore"):
+                weights = np.exp(beta * (weights - fmax))
+            total += float(weights.sum())
         for acc, scope in zip(accs, scopes):
             np.add.at(acc, config_index(bits, scope), weights)
-        total += float(weights.sum())
-    if kind == STAT_BOLTZMANN:
+    if boltzmann:
         for acc in accs:
             acc /= total
     return _tables(instance, scopes, kind, beta, accs)

@@ -22,6 +22,7 @@ from graybox.graphs import (
     Factor,
     Factorization,
     InteractionGraph,
+    JunctionTree,
     MIN_DEGREE,
     MIN_FILL,
     build_factor_graph,
@@ -194,12 +195,20 @@ class TestJunctionTree:
         with pytest.raises(StructuralError, match="permutation"):
             junction_tree(bogus)
 
-    def test_treewidth_order_must_be_a_permutation(self):
-        # vertex 2 has no position: reading the width ended in a KeyError
-        bogus = ChordalCompletion(graph(3, (1, 2)), frozenset(), (0, 1, 1))
-        with pytest.raises(StructuralError) as exc:
-            bogus.treewidth
-        assert str(exc.value) == "elimination order must be a permutation of the vertices"
+    # The width and the tree read one checked completion, so both refuse
+    # with the same text. Reading the width used to end in a KeyError for
+    # an order or fill edge with no position, and took (2, 1) as it was.
+    @pytest.mark.parametrize("fill, order, message", [
+        ((), (0, 1, 1), "elimination order must be a permutation of the vertices"),
+        (((0, 5),), (0, 1, 2), "edge (0,5) out of range for n=3"),
+        (((2, 1),), (0, 1, 2), "edge (2,1) not normalized"),
+    ], ids=["order-repeats", "fill-out-of-range", "fill-not-normalized"])
+    def test_treewidth_order_must_be_a_permutation(self, fill, order, message):
+        bogus = ChordalCompletion(graph(3, (1, 2)), frozenset(fill), order)
+        for read in (lambda: bogus.treewidth, lambda: junction_tree(bogus)):
+            with pytest.raises(StructuralError) as exc:
+                read()
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("n", [5, 6, 9, 10, 11, 40, 250, 1000])
     def test_cyclic_sweep_equals_full_scan_reference(self, n):
@@ -231,6 +240,15 @@ class TestJunctionTree:
         assert jt.edges == ((2, 3), (0, 2), (1, 3))
         assert jt.separators == ((3, 6), (3,), (7,))
         assert jt == reference_junction_tree(completion)
+
+    def test_running_intersection_fails_on_split_holders(self):
+        # cliques 0 and 2 hold vertex 0, but the path between them runs
+        # through clique 1, which does not
+        split = JunctionTree(3, ((0, 1), (1, 2), (0, 2)), ((0, 1), (1, 2)), ((1,), (2,)))
+        assert not running_intersection_holds(split)
+
+    def test_running_intersection_fails_on_an_unheld_vertex(self):
+        assert not running_intersection_holds(JunctionTree(3, ((0, 1),), (), ()))
 
     def test_running_intersection_random(self):
         for seed in range(8):
