@@ -397,6 +397,17 @@ def json_number(value) -> float:
         raise ValueError("an integer is too large for a float") from None
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads object_pairs_hook that refuses a repeated key instead of
+    keeping the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def json_text(doc) -> str:
     """The JSON layout of every written document: indented, keys sorted, final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -436,7 +447,7 @@ def _parse_text(text: str) -> AdfInstance:
     n = None
     declared_m = None
     wgb = None
-    name = ""
+    name = None
     subs: list[Subfunction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -445,6 +456,8 @@ def _parse_text(text: str) -> AdfInstance:
         if line.startswith("#"):
             comment = line[1:].strip()
             if comment.startswith("name:"):
+                if name is not None:
+                    raise ParseError(f"line {lineno}: repeated '# name:' line")
                 name = comment[len("name:"):].strip()
                 if name.startswith('"'):
                     try:
@@ -505,12 +518,12 @@ def _parse_text(text: str) -> AdfInstance:
     if declared_m != len(subs):
         raise ParseError(f"header declares {declared_m} subfunctions, found {len(subs)}")
     wgb = wgb or (Visibility.WHITE, Visibility.WHITE)
-    return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=name)
+    return AdfInstance(n=n, subfunctions=tuple(subs), wgb=wgb, name=name or "")
 
 
 def _parse_json(text: str) -> AdfInstance:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     try:

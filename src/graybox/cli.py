@@ -155,7 +155,7 @@ def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
         if not args.factor_file:
             raise ConfigError("--factor-file needs a path")
         try:
-            doc = json.loads(_read_text(args.factor_file))
+            doc = json.loads(_read_text(args.factor_file), object_pairs_hook=adf.unique_keys)
         except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
             raise ParseError(f"{args.factor_file}: invalid JSON: {exc}") from None
         return graphs.factorization_from_json(doc)

@@ -316,24 +316,32 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
 
 
 def running_intersection_holds(jt: JunctionTree) -> bool:
-    """For every vertex, the cliques containing it must form a connected subtree."""
+    """For every vertex, the cliques containing it must form a connected subtree.
+
+    Each vertex's holding cliques are listed in one pass over the cliques, and
+    a walk from the lowest along tree edges between holders must reach them all.
+    """
     adj: dict[int, list[int]] = {i: [] for i in range(len(jt.cliques))}
     for i, j in jt.edges:
         adj[i].append(j)
         adj[j].append(i)
+    holding: dict[int, list[int]] = {}
+    for i, clique in enumerate(jt.cliques):
+        for v in clique:
+            holding.setdefault(v, []).append(i)
     for v in range(jt.n):
-        holding = [i for i, c in enumerate(jt.cliques) if v in c]
-        if not holding:
+        if v not in holding:
             return False
-        seen = {holding[0]}
-        stack = [holding[0]]
+        holders = set(holding[v])
+        seen = {holding[v][0]}
+        stack = [holding[v][0]]
         while stack:
             c = stack.pop()
             for d in adj[c]:
-                if d not in seen and v in jt.cliques[d]:
+                if d not in seen and d in holders:
                     seen.add(d)
                     stack.append(d)
-        if set(holding) != seen:
+        if holders != seen:
             return False
     return True
 

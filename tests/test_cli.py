@@ -319,6 +319,17 @@ class TestBadInput:
         err = self.assert_error(capsys, 1, ["fda", paper_file, "--factor-file", str(bad)])
         assert "repeats" in err
 
+    def test_factor_file_repeated_key(self, capsys, tmp_path):
+        # the second n used to replace the first, and the file loaded
+        instance = tmp_path / "one.adf"
+        instance.write_text("adf 1 1\nsub 1 0 0 1\n")
+        factors = tmp_path / "factors.json"
+        factors.write_text('{"n": 2, "n": 1, "factors": [{"new": [0], "cond": []}]}')
+        err = self.assert_error(
+            capsys, 1, ["fda", str(instance), "--factor-file", str(factors), "--max-gens", "1"]
+        )
+        assert err == f"error: {factors}: invalid JSON: repeated key 'n'\n"
+
     def test_factor_file_integer_over_digit_limit(self, capsys, tmp_path):
         instance = tmp_path / "one.adf"
         instance.write_text("adf 1 1\nsub 1 0 0 1\n")
@@ -396,9 +407,16 @@ class TestBadInput:
         ("adf 3 1\nsub 2 0 1 0 1 2 3\nadf 5 1\n", "line 3: repeated 'adf' header"),
         ("adf 3 1\nwgb white white\nwgb gray white\nsub 1 0 0 1\n",
          "line 3: repeated 'wgb' line"),
+        # a second name used to replace the first: this file loaded as 'second'
+        ("# name: first\n# name: second\nadf 1 1\nsub 1 0 0 1\n",
+         "line 2: repeated '# name:' line"),
+        # json.loads keeps the last of repeated keys: this loaded with n=5
+        ('{"n": 3, "n": 5, "subfunctions": [{"scope": [0], "codomain": [0, 1]}]}',
+         "invalid JSON: repeated key 'n'"),
     ], ids=["adf-fields", "adf-not-integer", "wgb-fields", "wgb-unknown", "sub-bare",
             "sub-k-not-integer", "sub-value-not-number", "no-adf-header", "json-invalid",
-            "no-variable", "no-subfunction", "adf-repeated", "wgb-repeated"])
+            "no-variable", "no-subfunction", "adf-repeated", "wgb-repeated", "name-repeated",
+            "json-key-repeated"])
     def test_refused_instance_text(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.adf"
         path.write_text(text)

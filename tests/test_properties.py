@@ -1,13 +1,14 @@
 """Property tests for the configuration-index codec, instance round trips,
 the instance's cached structure views, the shared table collapse, the
 one-sweep marginal enumeration, the elimination routine and junction tree
-against their full-scan references, the junction-tree FDA model and its
-entropy, the factorization's cached covers against a full scan, and the
-climber's delta cache, best-pivot tie rule and cached pair scores against
-a full rescan.
+against their full-scan references, the running-intersection check, the
+junction-tree FDA model and its entropy, the factorization's cached covers
+against a full scan, and the climber's delta cache, best-pivot tie rule and
+cached pair scores against a full rescan.
 
-networkx serves only as an independent oracle for chordality and maximal
-cliques; the tests are skipped where it is not installed.
+networkx serves only as an independent oracle for chordality, maximal
+cliques and connected clique subtrees; the tests are skipped where it is
+not installed.
 """
 
 from itertools import combinations, product
@@ -55,6 +56,7 @@ from graybox.graphs import (
     MIN_FILL,
     ChordalCompletion,
     InteractionGraph,
+    JunctionTree,
     build_vig,
     factorization_from_json,
     factorization_from_jt,
@@ -276,6 +278,26 @@ def test_junction_tree_cliques_match_networkx(graph, data):
         oracle.add_nodes_from(range(graph.n))
         assert {frozenset(c) for c in jt.cliques} == set(nx.chordal_graph_cliques(oracle))
         assert running_intersection_holds(jt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_running_intersection_matches_networkx(data):
+    # Random cliques on a random tree: running intersection holds iff each
+    # vertex's holders are a nonempty connected subgraph of the tree.
+    n = data.draw(st.integers(1, 8))
+    count = data.draw(st.integers(1, 8))
+    cliques = tuple(
+        tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+        for _ in range(count)
+    )
+    edges = tuple((data.draw(st.integers(0, j - 1)), j) for j in range(1, count))
+    jt = JunctionTree(n, cliques, edges, tuple(() for _ in edges))
+    tree = nx.Graph(edges)
+    tree.add_nodes_from(range(count))
+    holders = [[i for i, c in enumerate(cliques) if v in c] for v in range(n)]
+    expected = all(h and nx.is_connected(tree.subgraph(h)) for h in holders)
+    assert running_intersection_holds(jt) == expected
 
 
 @st.composite
