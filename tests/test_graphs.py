@@ -195,9 +195,8 @@ class TestJunctionTree:
         with pytest.raises(StructuralError, match="permutation"):
             junction_tree(bogus)
 
-    # The width and the tree read one checked completion, so both refuse
-    # with the same text. Reading the width used to end in a KeyError for
-    # an order or fill edge with no position, and took (2, 1) as it was.
+    # The width and the tree read one checked completion, so both refuse a
+    # bad order or fill edge with the same text.
     @pytest.mark.parametrize("fill, order, message", [
         ((), (0, 1, 1), "elimination order must be a permutation of the vertices"),
         (((0, 5),), (0, 1, 2), "edge (0,5) out of range for n=3"),
