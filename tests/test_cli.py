@@ -650,6 +650,43 @@ class TestReplicate:
         assert "FAIL" in out
         assert "expected" in err
 
+    def test_corrupted_run_output_is_pinned(self, capsys, tmp_path, monkeypatch):
+        """A wrong order3 and clique5 golden value and a wrong order4 deception
+        expectation: stdout, stderr and comparison.txt, byte for byte."""
+        real = replicate.load_golden
+        first_config = {"order3": "000", "clique5": "00000"}
+
+        def corrupted(name):
+            table = real(name)
+            if name in first_config:
+                table[next(iter(table))][first_config[name]] += 1
+            return table
+
+        monkeypatch.setattr(replicate, "load_golden", corrupted)
+        monkeypatch.setitem(replicate.EXPECTED_DECEPTIVE, "order4", frozenset({3}))
+        code, out, err = run_cli(capsys, "replicate-paper", "--out-dir", str(tmp_path / "rep"))
+        summary = [
+            "FAIL  table order3",
+            "PASS  table order4",
+            "PASS  table order5",
+            "FAIL  table clique5",
+            "PASS  deception order3",
+            "FAIL  deception order4",
+            "PASS  deception order5",
+            "PASS  deception clique5",
+            "PASS  factorization",
+        ]
+        mismatches = [
+            "order3: factor (9,0,1) config 000: expected 769, got 768",
+            "clique5: factor (0,1,2,8,9) config 00000: expected 217, got 216",
+            "deception order4: expected [3], got [10]",
+        ]
+        assert code == 1
+        assert out == "".join(f"{line}\n" for line in summary)
+        assert err == "mismatches:\n" + "".join(f"  {line}\n" for line in mismatches)
+        comparison = (tmp_path / "rep" / "comparison.txt").read_text()
+        assert comparison == "".join(f"{line}\n" for line in summary + mismatches)
+
     def test_mismatch_shows_plain_number(self):
         inst = adf.paper_example()
         tables = [enumerate_marginal(inst, s) for s in adf.order_scopes(inst, 3)]
