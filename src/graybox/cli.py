@@ -232,8 +232,7 @@ def cmd_climb(args) -> int:
 
 def cmd_replicate(args) -> int:
     outcome = replicate.replicate(out_dir=args.out_dir)
-    for label, ok in outcome.checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {label}")
+    print("\n".join(outcome.summary))
     if not outcome.ok:
         print("mismatches:", file=sys.stderr)
         for line in outcome.mismatches:

@@ -27,7 +27,6 @@ from .graphs import (
     triangulate,
 )
 from .marginals import (
-    DeceptionReport,
     MarginalTable,
     STAT_SUM,
     _format_value,
@@ -80,14 +79,13 @@ def load_golden(name: str) -> dict[str, dict[str, int]]:
     return columns
 
 
-def _compare(name: str, tables: list[MarginalTable], mismatches: list[str]) -> None:
+def _compare(name: str, tables: list[MarginalTable]) -> list[str]:
+    """Mismatch lines of the computed tables against the golden copy `name`."""
     golden = load_golden(name)
     computed_keys = [_scope_key(t.scope) for t in tables]
     if sorted(computed_keys) != sorted(golden):
-        mismatches.append(
-            f"{name}: scope sets differ (computed {computed_keys}, golden {sorted(golden)})"
-        )
-        return
+        return [f"{name}: scope sets differ (computed {computed_keys}, golden {sorted(golden)})"]
+    mismatches = []
     for table, key in zip(tables, computed_keys):
         for cfg, value in enumerate(table.values):
             cfg_str = config_string(cfg, table.order)
@@ -97,13 +95,30 @@ def _compare(name: str, tables: list[MarginalTable], mismatches: list[str]) -> N
                     f"{name}: factor ({key}) config {cfg_str}: expected {expected}, got "
                     f"{_format_value(value)}"
                 )
+    return mismatches
+
+
+def _expect(label: str, expected, got) -> tuple[str, list[str]]:
+    """The check that one finding equals its expected value."""
+    return label, [] if got == expected else [f"{label}: expected {expected}, got {got}"]
 
 
 @dataclass(frozen=True)
 class ReplicationOutcome:
-    ok: bool
-    mismatches: tuple[str, ...]
-    checks: tuple[tuple[str, bool], ...]  # (label, passed) per table / finding
+    checks: tuple[tuple[str, list[str]], ...]  # (label, mismatch lines) per table / finding
+
+    @property
+    def mismatches(self) -> tuple[str, ...]:
+        return tuple(line for _, lines in self.checks for line in lines)
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+    @property
+    def summary(self) -> list[str]:
+        """One PASS or FAIL line per check."""
+        return [f"{'FAIL' if lines else 'PASS'}  {label}" for label, lines in self.checks]
 
 
 def replicate(out_dir: str | Path | None = None) -> ReplicationOutcome:
@@ -118,37 +133,22 @@ def replicate(out_dir: str | Path | None = None) -> ReplicationOutcome:
         "clique5": cliques,
     }
 
-    mismatches: list[str] = []
-    checks: list[tuple[str, bool]] = []
+    checks = []
     tables_by_name: dict[str, list[MarginalTable]] = {}
     for name, scopes in scope_sets.items():
         tables = list(enumerate_marginals(instance, scopes, STAT_SUM))
         tables_by_name[name] = tables
-        before = len(mismatches)
-        _compare(name, tables, mismatches)
-        checks.append((f"table {name}", len(mismatches) == before))
+        checks.append((f"table {name}", _compare(name, tables)))
 
     optimum = (1,) * instance.n
-    reports: dict[str, DeceptionReport] = {}
-    for name, tables in tables_by_name.items():
-        report = deception_report(tables, optimum)
-        reports[name] = report
-        expected = EXPECTED_DECEPTIVE[name]
-        ok = frozenset(report.deceptive_ids) == expected
-        if not ok:
-            mismatches.append(
-                f"deception {name}: expected {sorted(expected)}, got "
-                f"{sorted(report.deceptive_ids)}"
-            )
-        checks.append((f"deception {name}", ok))
+    reports = {name: deception_report(tables, optimum) for name, tables in tables_by_name.items()}
+    for name, report in reports.items():
+        expected = sorted(EXPECTED_DECEPTIVE[name])
+        checks.append(_expect(f"deception {name}", expected, sorted(report.deceptive_ids)))
 
     factorization = factorization_from_jt(jt, root=0)
-    fact_ok = factorization.factors == EXPECTED_FACTORS
-    if not fact_ok:
-        mismatches.append(
-            f"factorization: expected {EXPECTED_FACTORS}, got {factorization.factors}"
-        )
-    checks.append(("factorization", fact_ok))
+    checks.append(_expect("factorization", EXPECTED_FACTORS, factorization.factors))
+    outcome = ReplicationOutcome(checks=tuple(checks))
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -157,14 +157,9 @@ def replicate(out_dir: str | Path | None = None) -> ReplicationOutcome:
             (out / f"{name}.tsv").write_text(tables_to_tsv(tables))
         (out / "junction_tree.json").write_text(json_text(jt_to_json(jt)))
         (out / "factorization.json").write_text(json_text(factorization_to_json(factorization)))
-        deception_doc = {name: deception_to_json(reports[name]) for name in scope_sets}
+        deception_doc = {name: deception_to_json(report) for name, report in reports.items()}
         (out / "deception.json").write_text(json_text(deception_doc))
-        report_lines = [
-            f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks
-        ]
-        report_lines.extend(mismatches)
+        report_lines = [*outcome.summary, *outcome.mismatches]
         (out / "comparison.txt").write_text("\n".join(report_lines) + "\n")
 
-    return ReplicationOutcome(
-        ok=not mismatches, mismatches=tuple(mismatches), checks=tuple(checks)
-    )
+    return outcome

@@ -692,8 +692,7 @@ class TestReplicate:
         tables = [enumerate_marginal(inst, s) for s in adf.order_scopes(inst, 3)]
         first = tables[0]
         tables[0] = dataclasses.replace(first, values=(np.float64(5.5),) + first.values[1:])
-        mismatches = []
-        replicate._compare("order3", tables, mismatches)
+        mismatches = replicate._compare("order3", tables)
         assert len(mismatches) == 1
         assert mismatches[0].endswith("config 000: expected 768, got 5.5")
 
