@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -20,9 +21,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, StructuralError
+from .errors import CapacityError, ConfigError, ParseError, StructuralError
 
 Bits = Sequence[int]
+
+DEFAULT_ENUM_LIMIT = 25
+ENUM_LIMIT_ENV = "GRAYBOX_MAX_ENUM_VARS"
+
+
+def enumeration_limit() -> int:
+    """The most variables a 2^n sweep or table may span: the enumeration
+    sweeps, FDA factor tables and generated codomains."""
+    value = os.environ.get(ENUM_LIMIT_ENV, str(DEFAULT_ENUM_LIMIT))
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{ENUM_LIMIT_ENV} must be an integer, got {value!r}") from None
 
 
 class Visibility(str, Enum):
@@ -325,7 +339,12 @@ def _codomain_for(spec: GeneratorSpec, k: int, rng: np.random.Generator) -> tupl
 
 
 def generate(spec: GeneratorSpec) -> AdfInstance:
-    """Build the instance a GeneratorSpec describes; deterministic per seed."""
+    """Build the instance a GeneratorSpec describes; deterministic per seed.
+    An arity above the enumeration limit is refused before any codomain is
+    drawn."""
+    cap = enumeration_limit()
+    if spec.k > cap:
+        raise CapacityError(f"codomains of 2^k values refused: k={spec.k} exceeds limit {cap}")
     scope_seq, codomain_seq = np.random.SeedSequence(spec.seed).spawn(2)
     scope_rng = np.random.default_rng(scope_seq)
     if spec.codomain_seed is not None:

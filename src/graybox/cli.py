@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 runtime/data error (parse, visibility, capacity,
-structural), 2 usage/configuration error. All commands are deterministic
-given their flags and seed.
+structural, out of memory), 2 usage/configuration error. All commands are
+deterministic given their flags and seed.
 """
 
 from __future__ import annotations
@@ -363,6 +363,9 @@ def main(argv=None) -> int:
         return 2
     except (GrayboxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

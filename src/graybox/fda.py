@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .adf import AdfInstance, bits_to_string, collapse, config_bits, config_index
-from .errors import ConfigError, StructuralError
+from .adf import enumeration_limit
+from .errors import CapacityError, ConfigError, StructuralError
 from .graphs import Factorization
 
 __all__ = [
@@ -103,10 +104,18 @@ def estimate(
     smoothing per configuration.
 
     Conditioning contexts with no mass (possible only at smoothing 0) fall
-    back to the uniform distribution.
+    back to the uniform distribution. A factor over more variables than the
+    enumeration limit is refused before any table is allocated.
     """
     if not math.isfinite(smoothing) or smoothing < 0:
         raise ConfigError(f"smoothing must be finite and nonnegative, got {smoothing}")
+    cap = enumeration_limit()
+    for i, f in enumerate(factorization.factors):
+        width = len(f.cond) + len(f.new)
+        if width > cap:
+            raise CapacityError(
+                f"table of factor {i} refused: |cond|+|new|={width} exceeds limit {cap}"
+            )
     tables = []
     for f in factorization.factors:
         rows, cols = 1 << len(f.cond), 1 << len(f.new)

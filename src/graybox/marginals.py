@@ -14,32 +14,20 @@ variable limit instead of subsampling.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .adf import AdfInstance, Bits, _check_range, _validate_scope, collapse
-from .adf import config_bits, config_index, config_string, project
-from .errors import CapacityError, ConfigError, StructuralError
+from .adf import config_bits, config_index, config_string, enumeration_limit, project
+from .errors import CapacityError, StructuralError
 
 STAT_SUM = "sum"
 STAT_MEAN = "mean"
 STAT_BOLTZMANN = "boltzmann"
 
-DEFAULT_ENUM_LIMIT = 25
-ENUM_LIMIT_ENV = "GRAYBOX_MAX_ENUM_VARS"
-
 _CHUNK_BITS = 16
-
-
-def enumeration_limit() -> int:
-    value = os.environ.get(ENUM_LIMIT_ENV, str(DEFAULT_ENUM_LIMIT))
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{ENUM_LIMIT_ENV} must be an integer, got {value!r}") from None
 
 
 def _check_capacity(n: int) -> None:
@@ -266,11 +254,8 @@ def tables_to_tsv(tables: Sequence[MarginalTable]) -> str:
     """One column group per scope; tables of different orders become separate
     blocks. Rows are configurations as bit strings, ascending."""
     blocks = []
-    remaining = list(tables)
-    while remaining:
-        order = remaining[0].order
-        group = [t for t in remaining if t.order == order]
-        remaining = [t for t in remaining if t.order != order]
+    for order in dict.fromkeys(t.order for t in tables):
+        group = [t for t in tables if t.order == order]
         header = "config\t" + "\t".join(",".join(str(v) for v in t.scope) for t in group)
         lines = [header]
         for cfg in range(1 << order):

@@ -157,7 +157,7 @@ def replicate(out_dir: str | Path | None = None) -> ReplicationOutcome:
             (out / f"{name}.tsv").write_text(tables_to_tsv(tables))
         (out / "junction_tree.json").write_text(json_text(jt_to_json(jt)))
         (out / "factorization.json").write_text(json_text(factorization_to_json(factorization)))
-        deception_doc = {name: deception_to_json(report) for name, report in reports.items()}
+        deception_doc = {name: deception_to_json(reports[name]) for name in scope_sets}
         (out / "deception.json").write_text(json_text(deception_doc))
         report_lines = [*outcome.summary, *outcome.mismatches]
         (out / "comparison.txt").write_text("\n".join(report_lines) + "\n")

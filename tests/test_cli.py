@@ -473,6 +473,39 @@ class TestBadInput:
         )
         assert "overflows" in err
 
+    def test_factor_file_factor_above_enumeration_limit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "5")
+        instance = tmp_path / "six.adf"
+        instance.write_text(adf.serialize(adf.generate(adf.GeneratorSpec(adf.SEPARABLE, 6, 1))))
+        factors = tmp_path / "factors.json"
+        factors.write_text(json.dumps({"n": 6, "factors": [{"new": list(range(6)), "cond": []}]}))
+        err = self.assert_error(
+            capsys, 1, ["fda", str(instance), "--factor-file", str(factors), "--max-gens", "1"]
+        )
+        assert err == "error: table of factor 0 refused: |cond|+|new|=6 exceeds limit 5\n"
+
+    def test_jt_factor_above_enumeration_limit(self, capsys, tmp_path, monkeypatch):
+        # its root clique spans 105 variables, a 2^105-entry table
+        monkeypatch.delenv("GRAYBOX_MAX_ENUM_VARS", raising=False)
+        path = tmp_path / "r120.adf"
+        gen = ["gen", "--kind", "random-scopes", "--n", "120", "--k", "6", "--m", "400"]
+        assert main([*gen, "--seed", "1", "--out", str(path)]) == 0
+        err = self.assert_error(capsys, 1, ["fda", str(path), "--jt", "--max-gens", "1"])
+        assert err == "error: table of factor 0 refused: |cond|+|new|=105 exceeds limit 25\n"
+
+    def test_generator_arity_above_enumeration_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "5")
+        err = self.assert_error(capsys, 1, ["gen", "--kind", "separable", "--n", "6", "--k", "6"])
+        assert err == "error: codomains of 2^k values refused: k=6 exceeds limit 5\n"
+
+    def test_out_of_memory(self, capsys, paper_file, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 18.6 GiB for an array")
+
+        monkeypatch.setattr("graybox.fda.run_fda", exhausted)
+        err = self.assert_error(capsys, 1, ["fda", paper_file, "--jt", "--max-gens", "1"])
+        assert err == "error: out of memory: Unable to allocate 18.6 GiB for an array\n"
+
     # Without the integer check these documents were read by truncating the
     # number (n=2, n=1, scope (0, 1)); the wgb ones ended in an IndexError.
     @pytest.mark.parametrize("doc, message", [

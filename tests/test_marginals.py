@@ -25,6 +25,7 @@ from graybox.marginals import (
     STAT_BOLTZMANN,
     STAT_MEAN,
     STAT_SUM,
+    MarginalTable,
     deception_report,
     enumerate_marginal,
     enumerate_marginals,
@@ -134,6 +135,17 @@ class TestEnumerateMarginal:
         tables = [enumerate_marginal(inst, s, STAT_SUM) for s in order_scopes(inst, 3)]
         golden_text = resources.files("graybox").joinpath("golden/order3.tsv").read_text()
         assert tables_to_tsv(tables) == golden_text
+
+    def test_tsv_blocks_by_order_in_first_appearance_order(self):
+        pair, single, other_pair = (
+            MarginalTable(scope, STAT_SUM, values, n=3)
+            for scope, values in (((0, 1), (1.0, 2.0, 3.0, 4.0)), ((2,), (5.0, 6.5)),
+                                  ((1, 2), (7.0, 8.0, 9.0, 10.0)))
+        )
+        assert tables_to_tsv([pair, single, other_pair]) == (
+            "config\t0,1\t1,2\n00\t1\t7\n01\t2\t8\n10\t3\t9\n11\t4\t10\n"
+            "\nconfig\t2\n0\t5\n1\t6.5\n"
+        )
 
 
 @pytest.fixture
