@@ -167,6 +167,20 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope.adf"), "--vig")
         assert code == 1
 
+    def test_separable_junction_tree_dot(self, capsys, tmp_path):
+        # two cliques joined by a weight-0 edge, whose separator label is empty
+        path = tmp_path / "sep.adf"
+        assert main(["gen", "--kind", "separable", "--n", "6", "--k", "3", "--out", str(path)]) == 0
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--junction-tree", "--format", "dot")
+        assert code == 0
+        assert out == (
+            "graph junction_tree {\n"
+            '  c0 [label="{0,1,2}", shape=box];\n'
+            '  c1 [label="{3,4,5}", shape=box];\n'
+            '  c0 -- c1 [label=""];\n'
+            "}\n"
+        )
+
 
 class TestMarginalsAndDeception:
     def test_order3_matches_golden(self, capsys, paper_file):
@@ -493,6 +507,19 @@ class TestBadInput:
         err = self.assert_error(capsys, 1, ["fda", str(path), "--jt", "--max-gens", "1"])
         assert err == "error: table of factor 0 refused: |cond|+|new|=105 exceeds limit 25\n"
 
+    def test_factor_file_factors_above_enumeration_limit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "5")
+        instance = tmp_path / "twelve.adf"
+        instance.write_text(adf.serialize(adf.generate(adf.GeneratorSpec(adf.SEPARABLE, 12, 1))))
+        factors = tmp_path / "factors.json"
+        doc = {"n": 12, "factors": [{"new": list(range(6)), "cond": []},
+                                    {"new": list(range(6, 12)), "cond": []}]}
+        factors.write_text(json.dumps(doc))
+        err = self.assert_error(
+            capsys, 1, ["fda", str(instance), "--factor-file", str(factors), "--max-gens", "1"]
+        )
+        assert err == "error: table of factor 0 refused: |cond|+|new|=6 exceeds limit 5\n"
+
     def test_generator_arity_above_enumeration_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "5")
         err = self.assert_error(capsys, 1, ["gen", "--kind", "separable", "--n", "6", "--k", "6"])
@@ -574,6 +601,17 @@ class TestFda:
         assert code == 0
         assert doc["generations"] == 0
 
+    def test_zero_generation_history_bytes(self, capsys, paper_file, tmp_path):
+        history = tmp_path / "history.jsonl"
+        code, _, _ = run_cli(
+            capsys, "fda", paper_file, "--univariate", "--max-gens", "0", "--seed", "5",
+            "--history", str(history),
+        )
+        assert code == 0
+        assert history.read_bytes() == (
+            b'{"best": 9.0, "generation": 0, "mean": 4.956, "model_entropy": null}\n'
+        )
+
     def test_bad_config_exits_2(self, capsys, paper_file):
         code, _, err = run_cli(capsys, "fda", paper_file, "--jt", "--pop-size", "0")
         assert code == 2
@@ -631,6 +669,16 @@ class TestClimb:
         assert code == 0
         assert len(events) == doc["moves"]
         assert events[-1]["fitness"] == doc["fitness"]
+
+    def test_empty_trace_file_bytes(self, capsys, paper_file, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        code, out, _ = run_cli(
+            capsys, "climb", paper_file, "--start", "0000000000", "--max-moves", "0",
+            "--trace", str(trace),
+        )
+        assert code == 0
+        assert json.loads(out)["moves"] == 0
+        assert trace.read_bytes() == b""
 
     def test_pair_moves_without_edges(self, capsys, tmp_path, monkeypatch):
         # single-variable scopes leave the interaction graph with no edge
