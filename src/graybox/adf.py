@@ -39,6 +39,13 @@ def enumeration_limit() -> int:
         raise ConfigError(f"{ENUM_LIMIT_ENV} must be an integer, got {value!r}") from None
 
 
+def check_width(width: int, subject: str, name: str, cap: int | None = None) -> None:
+    """Refuse a 2^width sweep or table above the limit `cap` (default: read it)."""
+    cap = enumeration_limit() if cap is None else cap
+    if width > cap:
+        raise CapacityError(f"{subject} refused: {name}={width} exceeds limit {cap}")
+
+
 class Visibility(str, Enum):
     """How much of the instance an optimizer is allowed to see."""
 
@@ -118,6 +125,11 @@ def collapse(values: Sequence[float], src: Sequence[int], dst: Sequence[int]) ->
 
 def config_string(index: int, width: int) -> str:
     return format(index, f"0{width}b")
+
+
+def scope_label(scope: Sequence[int]) -> str:
+    """A scope as written in table headers, golden files and DOT labels: "0,1,2"."""
+    return ",".join(map(str, scope))
 
 
 @dataclass(frozen=True)
@@ -342,9 +354,7 @@ def generate(spec: GeneratorSpec) -> AdfInstance:
     """Build the instance a GeneratorSpec describes; deterministic per seed.
     An arity above the enumeration limit is refused before any codomain is
     drawn."""
-    cap = enumeration_limit()
-    if spec.k > cap:
-        raise CapacityError(f"codomains of 2^k values refused: k={spec.k} exceeds limit {cap}")
+    check_width(spec.k, "codomains of 2^k values", "k")
     scope_seq, codomain_seq = np.random.SeedSequence(spec.seed).spawn(2)
     scope_rng = np.random.default_rng(scope_seq)
     if spec.codomain_seed is not None:
@@ -417,7 +427,7 @@ def json_number(value) -> float:
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """json.loads object_pairs_hook that refuses a repeated key instead of
+    """A JSON object from its key-value pairs, refusing a repeated key instead of
     keeping the last value."""
     doc = {}
     for key, value in pairs:
@@ -425,6 +435,14 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ValueError(f"repeated key {key!r}")
         doc[key] = value
     return doc
+
+
+def load_json(text: str, context: str = "invalid JSON"):
+    """Strict JSON: a repeated key or malformed text is ParseError("<context>: <reason>")."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
+        raise ParseError(f"{context}: {exc}") from None
 
 
 def json_text(doc) -> str:
@@ -541,10 +559,7 @@ def _parse_text(text: str) -> AdfInstance:
 
 
 def _parse_json(text: str) -> AdfInstance:
-    try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = load_json(text)
     try:
         n = json_int(doc["n"])
         wgb_raw = doc.get("wgb", ["white", "white"])

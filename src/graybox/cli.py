@@ -26,6 +26,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_jsonl(path: str, records) -> None:
+    """A JSON-lines side file: one object per line, keys sorted; empty for no records."""
+    Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -154,10 +159,7 @@ def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
     if args.factor_file is not None:
         if not args.factor_file:
             raise ConfigError("--factor-file needs a path")
-        try:
-            doc = json.loads(_read_text(args.factor_file), object_pairs_hook=adf.unique_keys)
-        except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
-            raise ParseError(f"{args.factor_file}: invalid JSON: {exc}") from None
+        doc = adf.load_json(_read_text(args.factor_file), f"{args.factor_file}: invalid JSON")
         return graphs.factorization_from_json(doc)
     jt = graphs.junction_tree(graphs.triangulate(graphs.build_vig(instance), args.heuristic))
     return graphs.factorization_from_jt(jt, root=args.root)
@@ -182,8 +184,7 @@ def cmd_fda(args) -> int:
     result = fda_mod.run_fda(instance, factorization, config)
     doc = fda_mod.result_to_json(result)
     if args.history:
-        lines = [json.dumps(h, sort_keys=True) for h in doc["history"]]
-        Path(args.history).write_text("\n".join(lines) + "\n")
+        _write_jsonl(args.history, doc["history"])
     _emit(adf.json_text(doc), args.out)
     return 0
 
@@ -199,10 +200,8 @@ def cmd_climb(args) -> int:
         seed=args.seed,
     )
     instance = _load_instance(args.instance)
-    trace_lines: list[str] = []
-    trace = None
-    if args.trace:
-        trace = lambda event: trace_lines.append(json.dumps(event, sort_keys=True))
+    events: list[dict] = []
+    trace = events.append if args.trace else None
 
     def run_one(start, seed):
         result = climb_mod.hill_climb(instance, start, replace(policy, seed=seed), trace=trace)
@@ -225,7 +224,7 @@ def cmd_climb(args) -> int:
         best = max(results, key=lambda r: r["fitness"])
         doc = {"starts": args.starts, "best": best, "results": results}
     if args.trace:
-        Path(args.trace).write_text("\n".join(trace_lines) + "\n" if trace_lines else "")
+        _write_jsonl(args.trace, events)
     _emit(adf.json_text(doc), args.out)
     return 0
 

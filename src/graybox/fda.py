@@ -13,10 +13,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adf import AdfInstance, bits_to_string, collapse, config_bits, config_index
+from .adf import AdfInstance, bits_to_string, check_width, collapse, config_bits, config_index
 from .adf import enumeration_limit
-from .errors import CapacityError, ConfigError, StructuralError
+from .errors import ConfigError, StructuralError
 from .graphs import Factorization
+from .marginals import boltzmann_weights
 
 __all__ = [
     "TruncationSelection",
@@ -90,9 +91,7 @@ def select(fitness: np.ndarray, method: SelectionMethod, rng: np.random.Generato
     size = len(fitness)
     if isinstance(method, TruncationSelection):
         return np.argsort(-fitness, kind="stable")[: max(1, math.ceil(method.tau * size))]
-    # An overflowing beta * (f - fmax) is -inf: weight 0, the beta -> inf limit.
-    with np.errstate(over="ignore"):
-        w = np.exp(method.beta * (fitness - fitness.max()))
+    w = boltzmann_weights(fitness, method.beta, fitness.max())
     return rng.choice(size, size=size, replace=True, p=w / w.sum())
 
 
@@ -111,11 +110,7 @@ def estimate(
         raise ConfigError(f"smoothing must be finite and nonnegative, got {smoothing}")
     cap = enumeration_limit()
     for i, f in enumerate(factorization.factors):
-        width = len(f.cond) + len(f.new)
-        if width > cap:
-            raise CapacityError(
-                f"table of factor {i} refused: |cond|+|new|={width} exceeds limit {cap}"
-            )
+        check_width(len(f.cond) + len(f.new), f"table of factor {i}", "|cond|+|new|", cap)
     tables = []
     for f in factorization.factors:
         rows, cols = 1 << len(f.cond), 1 << len(f.new)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .adf import AdfInstance, json_int
+from .adf import AdfInstance, json_int, scope_label
 from .errors import StructuralError, VisibilityError
 
 MIN_FILL = "min-fill"
@@ -230,6 +230,14 @@ class JunctionTree:
     def treewidth(self) -> int:
         return max(len(c) for c in self.cliques) - 1
 
+    def adjacency(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+        """Per clique id, (neighbour, separator) for each tree edge at it, in edge order."""
+        adj = {i: [] for i in range(len(self.cliques))}
+        for (i, j), sep in zip(self.edges, self.separators):
+            adj[i].append((j, sep))
+            adj[j].append((i, sep))
+        return adj
+
 
 def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     """Maximal cliques plus a maximum-separator-weight spanning tree.
@@ -321,10 +329,7 @@ def running_intersection_holds(jt: JunctionTree) -> bool:
     Each vertex's holding cliques are listed in one pass over the cliques, and
     a walk from the lowest along tree edges between holders must reach them all.
     """
-    adj: dict[int, list[int]] = {i: [] for i in range(len(jt.cliques))}
-    for i, j in jt.edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = jt.adjacency()
     holding: dict[int, list[int]] = {}
     for i, clique in enumerate(jt.cliques):
         for v in clique:
@@ -337,7 +342,7 @@ def running_intersection_holds(jt: JunctionTree) -> bool:
         stack = [holding[v][0]]
         while stack:
             c = stack.pop()
-            for d in adj[c]:
+            for d, _ in adj[c]:
                 if d not in seen and d in holders:
                     seen.add(d)
                     stack.append(d)
@@ -423,22 +428,15 @@ def factorization_from_jt(jt: JunctionTree, root: int) -> Factorization:
     clique id, breadth first."""
     if not 0 <= root < len(jt.cliques):
         raise StructuralError(f"root clique id {root} out of range")
-    adj: dict[int, list[int]] = {i: [] for i in range(len(jt.cliques))}
-    sep_of = {}
-    for (i, j), sep in zip(jt.edges, jt.separators):
-        adj[i].append(j)
-        adj[j].append(i)
-        sep_of[(i, j)] = sep_of[(j, i)] = sep
+    adj = jt.adjacency()
     factors = [Factor(new=tuple(sorted(jt.cliques[root])), cond=())]
     seen = {root}
     queue = [root]
-    while queue:
-        c = queue.pop(0)
-        for d in sorted(adj[c]):
+    for c in queue:  # grows as the walk goes
+        for d, sep in sorted(adj[c]):
             if d in seen:
                 continue
             seen.add(d)
-            sep = sep_of[(c, d)]
             new = tuple(sorted(set(jt.cliques[d]) - set(sep)))
             factors.append(Factor(new=new, cond=tuple(sep)))
             queue.append(d)
@@ -462,9 +460,7 @@ def export_dot(obj: InteractionGraph | FactorGraph | JunctionTree) -> str:
         lines = ["graph vig {"]
         lines.extend(f"  {v};" for v in range(obj.n))
         lines.extend(f"  {u} -- {v};" for u, v in sorted(obj.edges))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, FactorGraph):
+    elif isinstance(obj, FactorGraph):
         lines = ["graph factors {"]
         lines.extend(f'  v{i} [label="x{i}"];' for i in range(obj.n))
         lines.extend(
@@ -472,19 +468,15 @@ def export_dot(obj: InteractionGraph | FactorGraph | JunctionTree) -> str:
         )
         for a, scope in enumerate(obj.scopes):
             lines.extend(f"  f{a} -- v{v};" for v in scope)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, JunctionTree):
+    elif isinstance(obj, JunctionTree):
         lines = ["graph junction_tree {"]
-        for i, clique in enumerate(obj.cliques):
-            label = ",".join(str(v) for v in clique)
-            lines.append(f'  c{i} [label="{{{label}}}", shape=box];')
-        for (i, j), sep in zip(obj.edges, obj.separators):
-            label = ",".join(str(v) for v in sep)
-            lines.append(f'  c{i} -- c{j} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise StructuralError(f"cannot export {type(obj).__name__} as DOT")
+        lines.extend(f'  c{i} [label="{{{scope_label(c)}}}", shape=box];'
+                     for i, c in enumerate(obj.cliques))
+        lines.extend(f'  c{i} -- c{j} [label="{scope_label(sep)}"];'
+                     for (i, j), sep in zip(obj.edges, obj.separators))
+    else:
+        raise StructuralError(f"cannot export {type(obj).__name__} as DOT")
+    return "\n".join(lines) + "\n}\n"
 
 
 def jt_to_json(jt: JunctionTree) -> dict:

@@ -19,21 +19,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, _check_range, _validate_scope, collapse
-from .adf import config_bits, config_index, config_string, enumeration_limit, project
-from .errors import CapacityError, StructuralError
+from .adf import AdfInstance, Bits, _check_range, _validate_scope, check_width, collapse
+from .adf import config_bits, config_index, config_string, project, scope_label
+from .errors import StructuralError
 
 STAT_SUM = "sum"
 STAT_MEAN = "mean"
 STAT_BOLTZMANN = "boltzmann"
 
 _CHUNK_BITS = 16
-
-
-def _check_capacity(n: int) -> None:
-    cap = enumeration_limit()
-    if n > cap:
-        raise CapacityError(f"exhaustive enumeration refused: n={n} exceeds limit {cap}")
 
 
 def _fitness_chunks(instance: AdfInstance) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -70,6 +64,13 @@ def check_beta(beta: float | None) -> None:
         raise StructuralError(f"boltzmann beta must be finite and nonnegative, got {beta}")
 
 
+def boltzmann_weights(fitness: np.ndarray, beta: float, fmax: float) -> np.ndarray:
+    """exp(beta * (f - fmax)) per fitness f: FDA's Boltzmann selection and marginals."""
+    # An overflowing beta * (f - fmax) is -inf: weight 0, the beta -> inf limit.
+    with np.errstate(over="ignore"):
+        return np.exp(beta * (fitness - fmax))
+
+
 def enumerate_marginals(
     instance: AdfInstance,
     scopes: Sequence[Sequence[int]],
@@ -84,7 +85,7 @@ def enumerate_marginals(
     Sums come from the subfunctions when _sums_are_exact admits the
     instance, else from one sweep over all solutions; the bits are the same.
     """
-    _check_capacity(instance.n)
+    check_width(instance.n, "exhaustive enumeration", "n")
     if kind not in (STAT_SUM, STAT_MEAN, STAT_BOLTZMANN):
         raise StructuralError(f"unknown statistic kind {kind!r}")
     if kind == STAT_BOLTZMANN:
@@ -147,9 +148,7 @@ def _swept_marginals(
     # which changes the float bits of the tables once n exceeds _CHUNK_BITS.
     for bits, weights in _fitness_chunks(instance):
         if boltzmann:
-            # An overflowing beta * (f - fmax) is -inf: weight 0, the beta -> inf limit.
-            with np.errstate(over="ignore"):
-                weights = np.exp(beta * (weights - fmax))
+            weights = boltzmann_weights(weights, beta, fmax)
             total += float(weights.sum())
         for acc, scope in zip(accs, scopes):
             np.add.at(acc, config_index(bits, scope), weights)
@@ -256,7 +255,7 @@ def tables_to_tsv(tables: Sequence[MarginalTable]) -> str:
     blocks = []
     for order in dict.fromkeys(t.order for t in tables):
         group = [t for t in tables if t.order == order]
-        header = "config\t" + "\t".join(",".join(str(v) for v in t.scope) for t in group)
+        header = "config\t" + "\t".join(scope_label(t.scope) for t in group)
         lines = [header]
         for cfg in range(1 << order):
             row = [config_string(cfg, order)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .adf import AdfInstance, config_string, json_text, order_scopes, paper_example
+from .adf import AdfInstance, config_string, json_text, order_scopes, paper_example, scope_label
 from .graphs import (
     Factor,
     JunctionTree,
@@ -61,10 +61,6 @@ def jt_scopes(instance: AdfInstance) -> tuple[JunctionTree, list[tuple[int, ...]
     return jt, [tuple(c) for c in jt.cliques]
 
 
-def _scope_key(scope: tuple[int, ...]) -> str:
-    return ",".join(str(v) for v in scope)
-
-
 def load_golden(name: str) -> dict[str, dict[str, int]]:
     """Golden table as {scope string: {config string: value}}."""
     text = resources.files("graybox").joinpath(f"golden/{name}.tsv").read_text()
@@ -82,7 +78,7 @@ def load_golden(name: str) -> dict[str, dict[str, int]]:
 def _compare(name: str, tables: list[MarginalTable]) -> list[str]:
     """Mismatch lines of the computed tables against the golden copy `name`."""
     golden = load_golden(name)
-    computed_keys = [_scope_key(t.scope) for t in tables]
+    computed_keys = [scope_label(t.scope) for t in tables]
     if sorted(computed_keys) != sorted(golden):
         return [f"{name}: scope sets differ (computed {computed_keys}, golden {sorted(golden)})"]
     mismatches = []

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from graybox import climb
-from graybox.adf import AdfInstance, config_bits, project
+from graybox.adf import AdfInstance, config_bits, enumeration_limit, project
 from graybox.errors import CapacityError, StructuralError
 from graybox.graphs import (
     MIN_DEGREE,
@@ -19,7 +19,6 @@ from graybox.graphs import (
     Factorization,
     JunctionTree,
 )
-from graybox.marginals import enumeration_limit
 
 _EXACT_TREEWIDTH_LIMIT = 12
 
