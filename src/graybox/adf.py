@@ -26,6 +26,7 @@ from .errors import CapacityError, ConfigError, ParseError, StructuralError
 Bits = Sequence[int]
 
 DEFAULT_ENUM_LIMIT = 25
+MAX_ENUM_LIMIT = 62  # 2^62 configurations still have an int64 index
 ENUM_LIMIT_ENV = "GRAYBOX_MAX_ENUM_VARS"
 
 
@@ -34,9 +35,12 @@ def enumeration_limit() -> int:
     sweeps, FDA factor tables and generated codomains."""
     value = os.environ.get(ENUM_LIMIT_ENV, str(DEFAULT_ENUM_LIMIT))
     try:
-        return int(value)
+        limit = int(value)
     except ValueError:
         raise ConfigError(f"{ENUM_LIMIT_ENV} must be an integer, got {value!r}") from None
+    if limit > MAX_ENUM_LIMIT:
+        raise ConfigError(f"{ENUM_LIMIT_ENV} must be at most {MAX_ENUM_LIMIT}, got {limit}")
+    return limit
 
 
 def check_width(width: int, subject: str, name: str, cap: int | None = None) -> None:

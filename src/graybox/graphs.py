@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .adf import AdfInstance, json_int, scope_label
+from .adf import AdfInstance, _check_range, json_int, scope_label
 from .errors import StructuralError, VisibilityError
 
 MIN_FILL = "min-fill"
@@ -373,7 +373,8 @@ class Factorization:
     """Ordered factors for ancestral sampling.
 
     Factor 0 is an unconditioned joint; every later factor conditions only on
-    variables introduced earlier, and every variable is new exactly once.
+    variables introduced earlier, and every variable in range(n) is new
+    exactly once.
     """
 
     n: int
@@ -385,6 +386,11 @@ class Factorization:
             scope = f.new + f.cond
             if len(set(scope)) != len(scope):
                 raise StructuralError(f"factor {i} repeats a variable in {scope}")
+            if scope:
+                try:
+                    _check_range(scope, self.n)
+                except StructuralError as exc:
+                    raise StructuralError(f"factor {i}: {exc}") from None
             if i == 0 and f.cond:
                 raise StructuralError("factor 0 must be an unconditioned joint")
             overlap = set(f.new) & introduced
@@ -396,9 +402,14 @@ class Factorization:
                     f"factor {i} conditions on {sorted(missing)} before introduction"
                 )
             introduced.update(f.new)
-        if introduced != set(range(self.n)):
-            absent = sorted(set(range(self.n)) - introduced)
-            raise StructuralError(f"variables {absent} never introduced")
+        # Every introduced variable lies in range(n), so a count shows a gap
+        # without building range(n); the text names only the lowest missing one.
+        if len(introduced) < self.n:
+            first = next(v for v in range(self.n) if v not in introduced)
+            missing = self.n - len(introduced)
+            raise StructuralError(
+                f"variable {first} never introduced ({missing} of {self.n} missing)"
+            )
 
     @cached_property
     def covers(self) -> tuple[int | None, ...]:

@@ -520,6 +520,30 @@ class TestBadInput:
         )
         assert err == "error: table of factor 0 refused: |cond|+|new|=6 exceeds limit 5\n"
 
+    def test_factor_file_with_huge_n(self, capsys, tmp_path):
+        # the absent variables were once listed in full: a 7.9 MB error line
+        instance = tmp_path / "two.adf"
+        instance.write_text("adf 2 1\nsub 2 0 1 0 1 2 3\n")
+        factors = tmp_path / "factors.json"
+        factors.write_text('{"n":1000000,"factors":[{"new":[0],"cond":[]}]}')
+        err = self.assert_error(capsys, 1, ["fda", str(instance), "--factor-file", str(factors)])
+        assert len(err) < 200
+        assert "variable 1 never introduced" in err
+
+    @pytest.mark.parametrize("limit, argv", [
+        ("70", ["gen", "--kind", "separable", "--n", "64", "--k", "64"]),
+        ("200", ["fda", "r120.adf", "--jt", "--max-gens", "1"]),
+    ], ids=["gen-k64", "fda-jt-n120"])
+    def test_enumeration_limit_above_62(self, capsys, tmp_path, monkeypatch, limit, argv):
+        # A 2^limit index would overflow int64: these ended in a ValueError
+        # and an OverflowError traceback.
+        monkeypatch.chdir(tmp_path)
+        gen = ["gen", "--kind", "random-scopes", "--n", "120", "--k", "6", "--m", "400"]
+        assert main([*gen, "--seed", "1", "--out", "r120.adf"]) == 0
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", limit)
+        err = self.assert_error(capsys, 2, argv)
+        assert err == f"error: GRAYBOX_MAX_ENUM_VARS must be at most 62, got {limit}\n"
+
     def test_generator_arity_above_enumeration_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "5")
         err = self.assert_error(capsys, 1, ["gen", "--kind", "separable", "--n", "6", "--k", "6"])

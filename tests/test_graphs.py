@@ -309,6 +309,21 @@ class TestFactorization:
         with pytest.raises(StructuralError, match="repeats"):
             Factorization(len({v for f in factors for v in f.new}), factors)
 
+    @pytest.mark.parametrize("v", [5, -1])
+    def test_variable_out_of_range_is_named(self, v):
+        with pytest.raises(StructuralError) as exc:
+            Factorization(2, (Factor((0, 1, v), ()),))
+        assert str(exc.value) == f"factor 0: scope index {v} out of range for n=2"
+
+    def test_absent_variable_text_names_the_lowest(self):
+        with pytest.raises(StructuralError) as exc:
+            Factorization(5, (Factor((0, 2), ()),))
+        assert str(exc.value) == "variable 1 never introduced (3 of 5 missing)"
+
+    def test_factor_with_empty_new(self):
+        fact = Factorization(2, (Factor((0, 1), ()), Factor((), (0,)), Factor((), ())))
+        assert fact.covers == (None, 0, 0)
+
     def test_conditioning_before_introduction(self):
         with pytest.raises(StructuralError):
             Factorization(2, (Factor((0,), (1,)), Factor((1,), ())))

@@ -20,7 +20,7 @@ from graybox.adf import (
     serialize,
 )
 from graybox.cli import main
-from graybox.errors import CapacityError, StructuralError
+from graybox.errors import CapacityError, ConfigError, StructuralError
 from graybox.marginals import (
     STAT_BOLTZMANN,
     STAT_MEAN,
@@ -122,6 +122,14 @@ class TestEnumerateMarginal:
         monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "9")
         with pytest.raises(CapacityError, match="n=10 exceeds limit 9"):
             enumerate_marginal(inst, (0, 1))
+
+    def test_limit_of_62_is_the_largest_accepted(self, monkeypatch):
+        # 2^62 still fits an int64 configuration index; 2^63 does not
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "62")
+        assert enumerate_marginal(paper_example(), (0, 1)).values
+        monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "63")
+        with pytest.raises(ConfigError, match="at most 62, got 63"):
+            enumerate_marginal(paper_example(), (0, 1))
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "9")
