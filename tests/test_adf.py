@@ -66,7 +66,7 @@ class TestEvaluate:
         assert inst.evaluate([0]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"^solution has 9 bits, expected 10$"):
             paper_example().evaluate([1] * 9)
 
     def test_batch_matches_scalar(self):

@@ -456,6 +456,10 @@ class TestBadInput:
         err = self.assert_error(capsys, 1, [command, paper_file, "--order", order, *args])
         assert err == f"error: order {order} exceeds n=10: a window would repeat a variable\n"
 
+    def test_start_of_wrong_length(self, capsys):
+        err = self.assert_error(capsys, 1, ["climb", str(PINNED / "paper.adf"), "--start", "0101"])
+        assert err == "error: start has 4 bits, expected 10\n"
+
     def test_optimum_length_checked_before_enumeration(self, capsys, tmp_path, monkeypatch):
         # n=26 is above the default enumeration cap: sweeping first would
         # end in the capacity error instead
