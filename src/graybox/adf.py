@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +72,12 @@ def _check_range(scope: Sequence[int], n: int) -> None:
     if min(scope) < 0 or max(scope) >= n:
         v = next(v for v in scope if not 0 <= v < n)
         raise StructuralError(f"scope index {v} out of range for n={n}")
+
+
+def add_in_order(values: Iterable[float]) -> float:
+    """0.0 + v0 + v1 + ..., left to right, as evaluate_batch adds. From
+    Python 3.12 the builtin sum() compensates, which can change the bits."""
+    return float(reduce(operator.add, values, 0.0))
 
 
 def project(solution: Bits, scope: Sequence[int]) -> int:
@@ -194,7 +201,7 @@ class AdfInstance:
         """Sum of all subfunction values at the given solution."""
         if len(solution) != self.n:
             raise StructuralError(f"solution has {len(solution)} bits, expected {self.n}")
-        return float(sum(sub.codomain[project(solution, sub.scope)] for sub in self.subfunctions))
+        return add_in_order(sub.codomain[project(solution, sub.scope)] for sub in self.subfunctions)
 
     def evaluate_batch(self, bits: np.ndarray) -> np.ndarray:
         """Vectorized evaluation of a (B, n) 0/1 matrix; returns (B,) fitnesses."""

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, project
+from .adf import AdfInstance, Bits, add_in_order, project
 from .errors import ConfigError, StructuralError
 from .graphs import _require_structure, build_vig  # build_vig: wrapped by the benchmark tracer
 
@@ -66,7 +66,7 @@ class DeltaState:
         self.eval_count = 0
         self.sub_cfgs = [project(self.bits, sub.scope) for sub in instance.subfunctions]
         self.sub_values = [sub.codomain[c] for sub, c in zip(instance.subfunctions, self.sub_cfgs)]
-        self.fitness = float(sum(self.sub_values))
+        self.fitness = add_in_order(self.sub_values)
         self.deltas = np.array([self._delta(flips) for flips in instance.incidence])
 
     def _delta(self, flips) -> float:

@@ -326,9 +326,12 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
 def running_intersection_holds(jt: JunctionTree) -> bool:
     """For every vertex, the cliques containing it must form a connected subtree.
 
-    Each vertex's holding cliques are listed in one pass over the cliques, and
-    a walk from the lowest along tree edges between holders must reach them all.
+    Every clique vertex must lie in range(n). Each vertex's holding cliques are
+    listed in one pass over the cliques, and a walk from the lowest along tree
+    edges between holders must reach them all.
     """
+    if not all(0 <= v < jt.n for clique in jt.cliques for v in clique):
+        return False
     adj = jt.adjacency()
     holding: dict[int, list[int]] = {}
     for i, clique in enumerate(jt.cliques):

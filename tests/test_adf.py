@@ -2,10 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graybox import adf, climb
 from graybox.adf import (
     ADJACENT_ACYCLIC,
     ADJACENT_CYCLIC,
@@ -25,6 +27,17 @@ from graybox.adf import (
     serialize_json,
 )
 from graybox.errors import ConfigError, ParseError, StructuralError
+
+
+def python312_sum(values, start=0):
+    """The builtin sum() of Python 3.12 and later over floats: Neumaier's
+    compensated summation, which can differ from adding left to right."""
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
 
 
 def make_instance(n, scopes, codomains, **kw):
@@ -76,6 +89,18 @@ class TestEvaluate:
         batch = inst.evaluate_batch(bits)
         for row, fit in zip(bits, batch):
             assert inst.evaluate(list(row)) == fit
+
+    def test_sums_do_not_depend_on_the_python_version(self, monkeypatch):
+        # evaluate and a climb's start fitness add left to right from 0.0, as
+        # evaluate_batch does, even where sum() compensates
+        monkeypatch.setattr(adf, "sum", python312_sum, raising=False)
+        monkeypatch.setattr(climb, "sum", python312_sum, raising=False)
+        pinned = Path(__file__).parent / "data" / "pinned" / "random.adf"
+        inst = parse(pinned.read_text())
+        bits = np.random.default_rng(0).integers(0, 2, size=(200, inst.n))
+        for row, fitness in zip(bits.tolist(), inst.evaluate_batch(bits)):
+            assert inst.evaluate(row) == fitness
+            assert climb.DeltaState(inst, row).fitness == fitness
 
     def test_linearity(self):
         # summing codomains entrywise sums the evaluations, for any solution

@@ -249,6 +249,11 @@ class TestJunctionTree:
     def test_running_intersection_fails_on_an_unheld_vertex(self):
         assert not running_intersection_holds(JunctionTree(3, ((0, 1),), (), ()))
 
+    @pytest.mark.parametrize("stray", [5, -1])
+    def test_running_intersection_fails_on_a_vertex_out_of_range(self, stray):
+        jt = JunctionTree(2, ((0, 1), (1, stray)), ((0, 1),), ((1,),))
+        assert not running_intersection_holds(jt)
+
     def test_running_intersection_random(self):
         for seed in range(8):
             inst = generate(GeneratorSpec(RANDOM_SCOPES, n=14, k=3, m=14, seed=seed))
