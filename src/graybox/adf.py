@@ -68,10 +68,16 @@ def _validate_scope(scope: Sequence[int]) -> None:
 
 
 def _check_range(scope: Sequence[int], n: int) -> None:
-    """StructuralError unless every index of the nonempty scope lies in range(n)."""
-    if min(scope) < 0 or max(scope) >= n:
+    """StructuralError unless every index of the scope lies in range(n)."""
+    if scope and (min(scope) < 0 or max(scope) >= n):
         v = next(v for v in scope if not 0 <= v < n)
         raise StructuralError(f"scope index {v} out of range for n={n}")
+
+
+def check_bits(bits: Bits, n: int, what: str) -> None:
+    """StructuralError unless the bit string `what` names has exactly n bits."""
+    if len(bits) != n:
+        raise StructuralError(f"{what} has {len(bits)} bits, expected {n}")
 
 
 def add_in_order(values: Iterable[float]) -> float:
@@ -199,8 +205,7 @@ class AdfInstance:
 
     def evaluate(self, solution: Bits) -> float:
         """Sum of all subfunction values at the given solution."""
-        if len(solution) != self.n:
-            raise StructuralError(f"solution has {len(solution)} bits, expected {self.n}")
+        check_bits(solution, self.n, "solution")
         return add_in_order(sub.codomain[project(solution, sub.scope)] for sub in self.subfunctions)
 
     def evaluate_batch(self, bits: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +123,7 @@ def _marginal_tables(args, optimum: adf.Bits | None = None) -> tuple[marginals.M
         marginals.check_beta(args.beta)
     instance = _load_instance(args.instance)
     if optimum is not None:
-        marginals.check_optimum(optimum, instance.n)
+        adf.check_bits(optimum, instance.n, "reference optimum")
     if args.scopes is not None:
         scopes = [_parse_ints(g, "--scopes") for g in args.scopes.split(";") if g.strip()]
         if not scopes:
@@ -205,13 +205,8 @@ def cmd_climb(args) -> int:
 
     def run_one(start, seed):
         result = climb_mod.hill_climb(instance, start, replace(policy, seed=seed), trace=trace)
-        return {
-            "start": adf.bits_to_string(start),
-            "solution": adf.bits_to_string(result.solution),
-            "fitness": result.fitness,
-            "moves": result.moves,
-            "converged": result.converged,
-        }
+        solution = adf.bits_to_string(result.solution)
+        return {"start": adf.bits_to_string(start), **asdict(result), "solution": solution}
 
     if args.start:
         doc = run_one(adf.bits_from_string(args.start), args.seed)

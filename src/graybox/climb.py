@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, add_in_order, project
+from .adf import AdfInstance, Bits, add_in_order, check_bits, project
 from .errors import ConfigError, StructuralError
 from .graphs import _require_structure, build_vig  # build_vig: wrapped by the benchmark tracer
 
@@ -59,8 +59,7 @@ class DeltaState:
 
     def __init__(self, instance: AdfInstance, start: Bits):
         _require_structure(instance, "delta evaluation")
-        if len(start) != instance.n:
-            raise StructuralError(f"start has {len(start)} bits, expected {instance.n}")
+        check_bits(start, instance.n, "start")
         self.instance = instance
         self.bits = [1 if b else 0 for b in start]
         self.eval_count = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .adf import AdfInstance, _check_range, json_int, scope_label
 from .errors import StructuralError, VisibilityError
@@ -291,16 +291,10 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
         bottom.append(v)
 
     cliques = sorted(tuple(sorted(later[b] | {b})) for b in bottom)
-    holding: list[list[int]] = [[] for _ in range(n)]
-    for i, clique in enumerate(cliques):
-        for v in clique:
-            holding[v].append(i)
+    holders = _holders(n, cliques)
     pairs = [(0, 0, j, ()) for j in range(1, len(cliques))]
     for sep in tree_separators:
-        # Filter the shortest holding list: intersecting them all is
-        # quadratic when one vertex is in every clique.
-        shortest = min((holding[v] for v in sep), key=len)
-        lowest, *others = (i for i in shortest if sep.issubset(cliques[i]))
+        lowest, *others = _holding(holders, cliques, sep)
         lowest_set = set(cliques[lowest])
         for j in others:
             common = tuple(v for v in cliques[j] if v in lowest_set)
@@ -323,26 +317,41 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     return JunctionTree(n, tuple(cliques), tuple(edges), tuple(separators))
 
 
+def _holders(n: int, sets: Sequence[Sequence[int]]) -> list[list[int]]:
+    """holders[v]: the ids of the sets holding v, ascending; every v in range(n)."""
+    holders: list[list[int]] = [[] for _ in range(n)]
+    for i, members in enumerate(sets):
+        for v in members:
+            holders[v].append(i)
+    return holders
+
+
+def _holding(
+    holders: list[list[int]], sets: Sequence[Sequence[int]], subset: frozenset[int]
+) -> Iterator[int]:
+    """The ids of the sets holding all of subset, ascending; every id for an
+    empty subset. Only the shortest holder list of subset's variables is
+    filtered: intersecting them all is quadratic when one vertex is in every
+    set, as a cyclic instance's wrap variables are."""
+    shortest = min((holders[v] for v in subset), key=len, default=range(len(sets)))
+    return (i for i in shortest if subset.issubset(sets[i]))
+
+
 def running_intersection_holds(jt: JunctionTree) -> bool:
     """For every vertex, the cliques containing it must form a connected subtree.
 
-    Every clique vertex must lie in range(n). Each vertex's holding cliques are
-    listed in one pass over the cliques, and a walk from the lowest along tree
-    edges between holders must reach them all.
+    Every clique vertex must lie in range(n). A walk from each vertex's lowest
+    holding clique along tree edges between holders must reach them all.
     """
     if not all(0 <= v < jt.n for clique in jt.cliques for v in clique):
         return False
     adj = jt.adjacency()
-    holding: dict[int, list[int]] = {}
-    for i, clique in enumerate(jt.cliques):
-        for v in clique:
-            holding.setdefault(v, []).append(i)
-    for v in range(jt.n):
-        if v not in holding:
+    for holding in _holders(jt.n, jt.cliques):
+        if not holding:
             return False
-        holders = set(holding[v])
-        seen = {holding[v][0]}
-        stack = [holding[v][0]]
+        holders = set(holding)
+        seen = {holding[0]}
+        stack = [holding[0]]
         while stack:
             c = stack.pop()
             for d, _ in adj[c]:
@@ -389,11 +398,10 @@ class Factorization:
             scope = f.new + f.cond
             if len(set(scope)) != len(scope):
                 raise StructuralError(f"factor {i} repeats a variable in {scope}")
-            if scope:
-                try:
-                    _check_range(scope, self.n)
-                except StructuralError as exc:
-                    raise StructuralError(f"factor {i}: {exc}") from None
+            try:
+                _check_range(scope, self.n)
+            except StructuralError as exc:
+                raise StructuralError(f"factor {i}: {exc}") from None
             if i == 0 and f.cond:
                 raise StructuralError("factor 0 must be an unconditioned joint")
             overlap = set(f.new) & introduced
@@ -417,23 +425,13 @@ class Factorization:
     @cached_property
     def covers(self) -> tuple[int | None, ...]:
         """covers[i]: the lowest j < i whose full scope (new + cond) holds
-        factors[i].cond, or None when no earlier factor's does.
-
-        One pass over ascending per-variable lists of the factors holding
-        each variable: only the shortest list of a cond's variables is walked,
-        since a cyclic instance's wrap variables sit in every clique.
+        factors[i].cond, or None when no earlier factor's does. Factor i's own
+        scope holds its cond, so the lowest holder is at most i.
         """
-        holders: list[list[int]] = [[] for _ in range(self.n)]
-        scopes: list[frozenset[int]] = []
-        covers = []
-        for i, f in enumerate(self.factors):
-            cond = frozenset(f.cond)
-            walk = min((holders[v] for v in f.cond), key=len, default=range(i))
-            covers.append(next((j for j in walk if cond <= scopes[j]), None))
-            scopes.append(frozenset(f.new) | cond)
-            for v in scopes[i]:
-                holders[v].append(i)
-        return tuple(covers)
+        scopes = [frozenset(f.new + f.cond) for f in self.factors]
+        holders = _holders(self.n, scopes)
+        lowest = [next(_holding(holders, scopes, frozenset(f.cond))) for f in self.factors]
+        return tuple(j if j < i else None for i, j in enumerate(lowest))
 
 
 def factorization_from_jt(jt: JunctionTree, root: int) -> Factorization:

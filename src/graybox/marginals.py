@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adf import AdfInstance, Bits, _check_range, _validate_scope, check_width, collapse
+from .adf import AdfInstance, Bits, _check_range, _validate_scope, check_bits, check_width, collapse
 from .adf import config_bits, config_index, config_string, project, scope_label
 from .errors import StructuralError
 
@@ -212,18 +212,12 @@ class DeceptionReport:
         return frozenset(e.factor_id for e in self.entries if e.deceptive)
 
 
-def check_optimum(reference_optimum: Bits, n: int) -> None:
-    """Refuse a reference optimum that is not n bits long."""
-    if len(reference_optimum) != n:
-        raise StructuralError(f"reference optimum has {len(reference_optimum)} bits, expected {n}")
-
-
 def deception_report(tables: Sequence[MarginalTable], reference_optimum: Bits) -> DeceptionReport:
     """Flag each table whose best-statistic configurations all disagree with
     the reference optimum's projection. Factor ids are 1-based positions in
     `tables`, so they line up with published table columns."""
     if tables:
-        check_optimum(reference_optimum, tables[0].n)
+        check_bits(reference_optimum, tables[0].n, "reference optimum")
     entries = []
     for i, table in enumerate(tables, start=1):
         best = max_configs(table)
