@@ -11,6 +11,7 @@ import numpy as np
 from graybox import climb
 from graybox.adf import AdfInstance, config_bits, enumeration_limit, project
 from graybox.errors import CapacityError, StructuralError
+from graybox.marginals import STAT_BOLTZMANN, enumerate_marginal
 from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
@@ -188,6 +189,19 @@ def first_covers(factorization: Factorization) -> tuple[int | None, ...]:
         covers.append(next((j for j, s in enumerate(scope_sets) if cond <= s), None))
         scope_sets.append(set(f.cond + f.new))
     return tuple(covers)
+
+
+def boltzmann_tables(instance: AdfInstance, factorization: Factorization, beta: float):
+    """Exact factor conditionals of the Boltzmann distribution, from each
+    factor's enumerated (cond + new) Boltzmann marginal."""
+    tables = []
+    for f in factorization.factors:
+        joint = enumerate_marginal(instance, f.cond + f.new, STAT_BOLTZMANN, beta=beta)
+        arr = np.array(joint.values).reshape(1 << len(f.cond), 1 << len(f.new))
+        totals = arr.sum(axis=1, keepdims=True)
+        totals[totals == 0] = 1.0
+        tables.append(arr / totals)
+    return tuple(tables)
 
 
 def model_probability(factorization: Factorization, tables, solution) -> float:

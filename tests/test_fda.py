@@ -29,25 +29,12 @@ from graybox.graphs import (
     triangulate,
     univariate_factorization,
 )
-from graybox.marginals import STAT_BOLTZMANN, enumerate_marginal
-from oracles import model_probability
+from oracles import boltzmann_tables, model_probability
 
 
 def paper_chain():
     jt = junction_tree(triangulate(build_vig(paper_example())))
     return factorization_from_jt(jt, root=0)
-
-
-def boltzmann_tables(instance, factorization, beta):
-    """Exact factor conditionals of the Boltzmann distribution."""
-    tables = []
-    for f in factorization.factors:
-        joint = enumerate_marginal(instance, f.cond + f.new, STAT_BOLTZMANN, beta=beta)
-        arr = np.array(joint.values).reshape(1 << len(f.cond), 1 << len(f.new))
-        totals = arr.sum(axis=1, keepdims=True)
-        totals[totals == 0] = 1.0
-        tables.append(arr / totals)
-    return tuple(tables)
 
 
 def uniform_tables(count):

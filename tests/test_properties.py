@@ -2,9 +2,10 @@
 the instance's cached structure views, the shared table collapse, the
 one-sweep marginal enumeration, the elimination routine and junction tree
 against their full-scan references, the running-intersection check, the
-junction-tree FDA model and its entropy, the factorization's cached covers
-against a full scan, and the climber's delta cache, best-pivot tie rule and
-cached pair scores against a full rescan.
+junction-tree FDA model and its entropy, the factorization theorem for
+Boltzmann conditionals, the factorization's cached covers against a full
+scan, and the climber's delta cache, best-pivot tie rule and cached pair
+scores against a full rescan.
 
 networkx serves only as an independent oracle for chordality, maximal
 cliques and connected clique subtrees; the tests are skipped where it is
@@ -35,6 +36,7 @@ from graybox.adf import (
     config_bits,
     config_index,
     generate,
+    paper_example,
     parse,
     project,
     serialize,
@@ -55,6 +57,8 @@ from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
     ChordalCompletion,
+    Factor,
+    Factorization,
     InteractionGraph,
     JunctionTree,
     build_vig,
@@ -76,6 +80,7 @@ from graybox.marginals import (
     max_configs,
 )
 from oracles import (
+    boltzmann_tables,
     first_covers,
     model_probability,
     reference_hill_climb,
@@ -487,6 +492,51 @@ def test_model_entropy_caches_structure_only():
     with pytest.raises(ValueError):
         index[0] = 1
     assert collapse(values, src, dst).tolist() == by_loop
+
+
+def _model_and_boltzmann(instance, factorization, beta):
+    """Per solution, in index order: the probability the factorization with
+    exact Boltzmann conditionals gives it, and its Boltzmann probability.
+    The conditionals come third."""
+    fitness = instance.evaluate_batch(config_bits(np.arange(1 << instance.n), instance.n))
+    weights = np.exp(beta * (fitness - fitness.max()))
+    tables = boltzmann_tables(instance, factorization, beta)
+    model = [model_probability(factorization, tables, x)
+             for x in product((0, 1), repeat=instance.n)]
+    return np.array(model), weights / weights.sum(), tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.floats(0.0, 8.0))
+def test_junction_tree_factorization_of_boltzmann_is_boltzmann(data, beta):
+    """The factorization theorem (Muehlenbein, Mahnig & Ochoa 1999): given the
+    exact Boltzmann conditionals, a factorization read off a junction tree of
+    the structure is the Boltzmann distribution, and its entropy is the
+    Boltzmann entropy. Values are scaled into [-0.625, 0.625] so that no
+    Boltzmann weight comes near the subnormal range at beta 8."""
+    base = _instance(data.draw)
+    instance = AdfInstance(base.n, tuple(Subfunction(s.scope, tuple(v / 32 for v in s.codomain))
+                                         for s in base.subfunctions))
+    jt = junction_tree(triangulate(build_vig(instance), MIN_FILL))
+    factorization = factorization_from_jt(jt, data.draw(st.integers(0, len(jt.cliques) - 1)))
+    model, boltzmann, tables = _model_and_boltzmann(instance, factorization, beta)
+    np.testing.assert_allclose(model, boltzmann, rtol=1e-12, atol=0)
+    entropy = float(-(boltzmann * np.log2(boltzmann)).sum())
+    assert model_entropy(factorization, tables) == pytest.approx(entropy, rel=1e-12)
+
+
+def test_factorization_missing_a_separator_variable_is_not_boltzmann():
+    """The negative control: dropping the first separator variable from every
+    conditioning set of the worked example's chain breaks the theorem."""
+    instance = paper_example()
+    chain = factorization_from_jt(junction_tree(triangulate(build_vig(instance), MIN_FILL)), 0)
+    cut = Factorization(instance.n, tuple(Factor(f.new, f.cond[1:]) for f in chain.factors))
+    errors = []
+    for factorization in (chain, cut):
+        model, boltzmann, _ = _model_and_boltzmann(instance, factorization, 2.0)
+        errors.append(float((np.abs(model - boltzmann) / boltzmann).max()))
+    assert errors[0] < 1e-12
+    assert errors[1] > 1.0
 
 
 @settings(max_examples=60, deadline=None)
