@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +205,9 @@ def cmd_climb(args) -> int:
 
     def run_one(start, seed):
         result = climb_mod.hill_climb(instance, start, replace(policy, seed=seed), trace=trace)
+        # vars, not asdict, which deep-copies the solution one bit at a time
         solution = adf.bits_to_string(result.solution)
-        return {"start": adf.bits_to_string(start), **asdict(result), "solution": solution}
+        return {"start": adf.bits_to_string(start), **vars(result), "solution": solution}
 
     if args.start:
         doc = run_one(adf.bits_from_string(args.start), args.seed)
