@@ -11,7 +11,6 @@ import numpy as np
 from graybox import climb
 from graybox.adf import AdfInstance, config_bits, enumeration_limit, project
 from graybox.errors import CapacityError, StructuralError
-from graybox.marginals import STAT_BOLTZMANN, enumerate_marginal
 from graybox.graphs import (
     MIN_DEGREE,
     MIN_FILL,
@@ -20,6 +19,7 @@ from graybox.graphs import (
     Factorization,
     JunctionTree,
 )
+from graybox.marginals import STAT_BOLTZMANN, enumerate_marginal
 
 _EXACT_TREEWIDTH_LIMIT = 12
 

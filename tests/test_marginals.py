@@ -291,12 +291,12 @@ class TestDeception:
             for a, b in zip(by_sum.entries, by_mean.entries):
                 assert a.best_configs == b.best_configs
 
-    @pytest.mark.parametrize("length", [3, 9])
-    def test_optimum_length_checked(self, length):
+    def test_optimum_length_checked(self):
         tables = enumerate_marginals(paper_example(), [(0, 1, 2)])
-        message = rf"^reference optimum has {length} bits, expected 10$"
-        with pytest.raises(StructuralError, match=message):
-            deception_report(tables, (1,) * length)
+        for length in (3, 9):
+            message = rf"^reference optimum has {length} bits, expected 10$"
+            with pytest.raises(StructuralError, match=message):
+                deception_report(tables, (1,) * length)
 
 
 class TestExhaustiveOptimum:

@@ -495,9 +495,9 @@ def test_model_entropy_caches_structure_only():
 
 
 def _model_and_boltzmann(instance, factorization, beta):
-    """Per solution, in index order: the probability the factorization with
-    exact Boltzmann conditionals gives it, and its Boltzmann probability.
-    The conditionals come third."""
+    """The exact Boltzmann conditionals of the factorization, and per solution
+    in index order the probability they give it and its Boltzmann probability:
+    (model, boltzmann, conditionals)."""
     fitness = instance.evaluate_batch(config_bits(np.arange(1 << instance.n), instance.n))
     weights = np.exp(beta * (fitness - fitness.max()))
     tables = boltzmann_tables(instance, factorization, beta)
