@@ -90,7 +90,21 @@ class ChordalCompletion:
     def treewidth(self) -> int:
         """The largest elimination clique's size less one, which is the width of
         the junction tree on this completion; no tree is built."""
-        return max(map(len, _later_neighbours(self)[1]))
+        return max(map(len, self._later))
+
+    @cached_property
+    def _later(self) -> list[set[int]]:
+        """Each vertex's completed-graph neighbours eliminated after it, seeded
+        by triangulate; a completion built otherwise is replayed, and refused
+        if the replay needs fill."""
+        full = self.completed()
+        _, fill, later = _eliminate(full, check_order(full.n, self.elimination_order))
+        if fill:
+            raise StructuralError(
+                "graph is not chordal along the elimination order: "
+                f"missing edges {sorted(fill)}"
+            )
+        return later
 
 
 def check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
@@ -101,24 +115,9 @@ def check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
     return order
 
 
-def _later_neighbours(completion: ChordalCompletion) -> tuple[list[int], list[set[int]]]:
-    """Each vertex's position in the checked elimination order, and its completed-graph
-    neighbours eliminated after it: its elimination clique less itself."""
-    full = completion.completed()
-    order = check_order(full.n, completion.elimination_order)
-    position = [0] * full.n
-    for i, v in enumerate(order):
-        position[v] = i
-    later = [
-        {u for u in nbrs if position[u] > position[v]}
-        for v, nbrs in enumerate(full.adjacency())
-    ]
-    return position, later
-
-
 def _eliminate(
     graph: InteractionGraph, heuristic: str | tuple[int, ...]
-) -> tuple[tuple[int, ...], set[tuple[int, int]]]:
+) -> tuple[tuple[int, ...], set[tuple[int, int]], list[set[int]]]:
     """Eliminate every vertex and connect its remaining neighbours.
 
     The next vertex is the lowest (score, vertex) on a lazy heap: the fill
@@ -127,7 +126,8 @@ def _eliminate(
     neighbours and, for min-fill, of the common neighbours of each new fill
     edge's endpoints; only those are rescored and pushed again, and entries
     whose score is stale are skipped when popped. Returns the elimination
-    order and the fill edges.
+    order, the fill edges and each vertex's later neighbours: once a vertex
+    is eliminated nothing changes its adjacency again.
     """
     adj = graph.adjacency()  # remaining vertices only
     # For min-fill, links[x] counts the edges among x's remaining neighbours,
@@ -188,7 +188,7 @@ def _eliminate(
                 if s != scores[u]:
                     scores[u] = s
                     heapq.heappush(heap, (s, u))
-    return tuple(order), fill
+    return tuple(order), fill, adj
 
 
 def triangulate(
@@ -203,8 +203,10 @@ def triangulate(
         heuristic = check_order(graph.n, heuristic)
     elif heuristic not in (MIN_FILL, MIN_DEGREE):
         raise StructuralError(f"unknown triangulation heuristic {heuristic!r}")
-    order, fill = _eliminate(graph, heuristic)
-    return ChordalCompletion(graph, frozenset(fill), order)
+    order, fill, later = _eliminate(graph, heuristic)
+    completion = ChordalCompletion(graph, frozenset(fill), order)
+    vars(completion)["_later"] = later
+    return completion
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +258,24 @@ def junction_tree(completion: ChordalCompletion) -> JunctionTree:
     the clique tree read off the elimination order, plus (0, j) for each
     j > 0 with key 0.
 
-    Raises StructuralError if replaying the completion's elimination order
-    on the completed graph would still need fill (i.e. it is not chordal).
+    Raises StructuralError if the completion is not chordal along its order.
     """
-    position, later = _later_neighbours(completion)
+    later = completion._later
     order, n = completion.elimination_order, len(later)
+    position = {v: i for i, v in enumerate(order)}
 
     # One clique tree from the elimination order (Blair & Peyton 1993), walked
-    # backwards. The follower f of v is its first later-eliminated neighbour;
-    # the order is perfect iff every later[v] - {f} lies in later[f]. v joins
-    # the clique of f if that clique is still exactly {f} | later[f] and
-    # later[v] equals it; otherwise v starts a clique joined to the clique of
-    # f by the separator later[v]. A clique's vertices are then those of its
-    # last joined vertex, whose elimination clique is maximal.
+    # backwards. The follower f of v is its first later-eliminated neighbour.
+    # v joins the clique of f if that clique is still exactly {f} | later[f]
+    # and later[v] equals it; otherwise v starts a clique joined to the clique
+    # of f by the separator later[v]. A clique's vertices are then those of
+    # its last joined vertex, whose elimination clique is maximal.
     bottom: list[int] = []
     clique_of = [0] * n
     tree_separators: set[frozenset[int]] = set()
     for v in reversed(order):
         if later[v]:
             f = min(later[v], key=position.__getitem__)
-            if len(later[v] - later[f]) != 1:
-                _, fill = _eliminate(completion.completed(), order)
-                raise StructuralError(
-                    "graph is not chordal along the elimination order: "
-                    f"missing edges {sorted(fill)}"
-                )
             k = clique_of[f]
             if bottom[k] == f and len(later[v]) == len(later[f]) + 1:
                 bottom[k] = v
@@ -340,10 +335,13 @@ def _holding(
 def running_intersection_holds(jt: JunctionTree) -> bool:
     """For every vertex, the cliques containing it must form a connected subtree.
 
-    Every clique vertex must lie in range(n). A walk from each vertex's lowest
-    holding clique along tree edges between holders must reach them all.
+    Every clique vertex must lie in range(n), and every edge end in the clique
+    ids. A walk from each vertex's lowest holding clique along tree edges
+    between holders must reach them all.
     """
-    if not all(0 <= v < jt.n for clique in jt.cliques for v in clique):
+    ids = range(len(jt.cliques))
+    if not (all(0 <= v < jt.n for clique in jt.cliques for v in clique)
+            and all(i in ids and j in ids for i, j in jt.edges)):
         return False
     adj = jt.adjacency()
     for holding in _holders(jt.n, jt.cliques):

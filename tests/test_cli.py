@@ -553,13 +553,20 @@ class TestBadInput:
         err = self.assert_error(capsys, 1, ["gen", "--kind", "separable", "--n", "6", "--k", "6"])
         assert err == "error: codomains of 2^k values refused: k=6 exceeds limit 5\n"
 
-    def test_out_of_memory(self, capsys, paper_file, monkeypatch):
+    # NumPy names the allocation; Python's own allocations raise an empty
+    # MemoryError, which must not leave a dangling colon.
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 18.6 GiB for an array",
+         "error: out of memory: Unable to allocate 18.6 GiB for an array\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "empty"])
+    def test_out_of_memory(self, capsys, paper_file, monkeypatch, message, line):
         def exhausted(*args):
-            raise MemoryError("Unable to allocate 18.6 GiB for an array")
+            raise MemoryError(message)
 
         monkeypatch.setattr("graybox.fda.run_fda", exhausted)
         err = self.assert_error(capsys, 1, ["fda", paper_file, "--jt", "--max-gens", "1"])
-        assert err == "error: out of memory: Unable to allocate 18.6 GiB for an array\n"
+        assert err == line
 
     # Without the integer check these documents were read by truncating the
     # number (n=2, n=1, scope (0, 1)); the wgb ones ended in an IndexError.

@@ -170,25 +170,29 @@ class TestJunctionTree:
         assert jt.cliques == ((0, 1), (1, 2))
         assert jt.separators == ((1,),)
 
+    # A hand-built completion is replayed for both the width and the tree,
+    # so both refuse a non-chordal one with the same text.
     def test_non_chordal_input_rejected(self):
         square = graph(4, (0, 1), (1, 2), (2, 3), (0, 3))
         bogus = ChordalCompletion(square, frozenset(), (0, 1, 2, 3))
-        with pytest.raises(StructuralError) as exc:
-            junction_tree(bogus)
-        assert str(exc.value) == (
-            "graph is not chordal along the elimination order: missing edges [(1, 3)]"
-        )
+        for read in (lambda: bogus.treewidth, lambda: junction_tree(bogus)):
+            with pytest.raises(StructuralError) as exc:
+                read()
+            assert str(exc.value) == (
+                "graph is not chordal along the elimination order: missing edges [(1, 3)]"
+            )
 
     def test_non_chordal_message_lists_every_replayed_fill(self):
         # eliminating 0 joins 1 and 4; then eliminating 1 joins 2 and 4
         pentagon = graph(5, (0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
         bogus = ChordalCompletion(pentagon, frozenset(), (0, 1, 2, 3, 4))
-        with pytest.raises(StructuralError) as exc:
-            junction_tree(bogus)
-        assert str(exc.value) == (
-            "graph is not chordal along the elimination order: "
-            "missing edges [(1, 4), (2, 4)]"
-        )
+        for read in (lambda: bogus.treewidth, lambda: junction_tree(bogus)):
+            with pytest.raises(StructuralError) as exc:
+                read()
+            assert str(exc.value) == (
+                "graph is not chordal along the elimination order: "
+                "missing edges [(1, 4), (2, 4)]"
+            )
 
     def test_order_must_be_a_permutation(self):
         bogus = ChordalCompletion(graph(3, (0, 1)), frozenset(), (0, 1, 1))
@@ -252,6 +256,11 @@ class TestJunctionTree:
     @pytest.mark.parametrize("stray", [5, -1])
     def test_running_intersection_fails_on_a_vertex_out_of_range(self, stray):
         jt = JunctionTree(2, ((0, 1), (1, stray)), ((0, 1),), ((1,),))
+        assert not running_intersection_holds(jt)
+
+    @pytest.mark.parametrize("stray", [5, -1])
+    def test_running_intersection_fails_on_an_edge_end_out_of_range(self, stray):
+        jt = JunctionTree(2, ((0, 1),), ((0, stray),), ((),))
         assert not running_intersection_holds(jt)
 
     def test_running_intersection_random(self):
