@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
@@ -187,6 +188,8 @@ class AdfInstance:
     def __post_init__(self):
         if self.n < 1:
             raise StructuralError("instance needs at least one variable")
+        if self.n > sys.maxsize:  # NumPy cannot size or index an axis this long
+            raise StructuralError(f"n={self.n} exceeds the largest supported n, {sys.maxsize}")
         if not self.subfunctions:
             raise StructuralError("instance needs at least one subfunction")
         for i, sub in enumerate(self.subfunctions):
@@ -268,11 +271,13 @@ KINDS = (ADJACENT_CYCLIC, ADJACENT_ACYCLIC, RANDOM_SCOPES, SEPARABLE)
 CODOMAIN_UNIFORM = "uniform"
 CODOMAIN_FOUR_OPTIMA = "four-optima"
 
+CODOMAINS = (CODOMAIN_UNIFORM, CODOMAIN_FOUR_OPTIMA)
+
 # The published ten-variable worked example: the adjacent-cyclic n=10 k=3
 # layout, each subfunction valued 1 at four local optima (one of them 111) and
 # 0 elsewhere. The global optimum is the all-ones string with fitness 10.
-# Subfunction i covers the window starting at variable i-1; this alignment is
-# the one that reproduces the published marginal tables exactly (graybox/golden/).
+# Subfunction i covers (i, i+1, i+2) mod 10. The published marginal tables
+# (graybox/golden/) read the windows one variable earlier, as order_scopes does.
 _EXAMPLE_CODOMAINS = (
     (1, 1, 0, 0, 1, 0, 0, 1),
     (0, 1, 0, 1, 1, 0, 0, 1),
@@ -291,8 +296,8 @@ _EXAMPLE_CODOMAINS = (
 class GeneratorSpec:
     """Recipe for a reproducible instance family member.
 
-    `codomain_seed` defaults to `seed`; pass it explicitly to decouple the
-    value tables from the scope layout.
+    Without `codomain_seed` the value tables draw from a stream spawned from
+    `seed`; pass it to decouple the tables from the scope layout.
     """
 
     kind: str
@@ -306,24 +311,22 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown instance kind {self.kind!r}")
-        if self.codomain not in (CODOMAIN_UNIFORM, CODOMAIN_FOUR_OPTIMA):
+        if self.codomain not in CODOMAINS:
             raise ConfigError(f"unknown codomain source {self.codomain!r}")
         for name, seed in (("seed", self.seed), ("codomain seed", self.codomain_seed)):
             if seed is not None and seed < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {seed}")
         if self.n < 1 or self.k < 1:
             raise ConfigError("n and k must be positive")
+        if self.n > sys.maxsize:
+            raise ConfigError(f"n={self.n} exceeds the largest supported n, {sys.maxsize}")
         if self.k > self.n:
             raise ConfigError(f"k={self.k} exceeds n={self.n}")
-        if self.kind == SEPARABLE:
-            if self.n % self.k != 0:
-                raise ConfigError(f"separable instances need k | n, got n={self.n}, k={self.k}")
-            if self.m is not None and self.m != self.n // self.k:
-                raise ConfigError(f"separable instances have m=n/k={self.n // self.k}")
-        if self.kind == ADJACENT_CYCLIC and self.m is not None and self.m != self.n:
-            raise ConfigError(f"adjacent-cyclic instances have m=n={self.n}")
-        if self.kind == ADJACENT_ACYCLIC and self.m is not None and self.m != self.n - self.k + 1:
-            raise ConfigError(f"adjacent-acyclic instances have m=n-k+1={self.n - self.k + 1}")
+        if self.kind == SEPARABLE and self.n % self.k != 0:
+            raise ConfigError(f"separable instances need k | n, got n={self.n}, k={self.k}")
+        starts = _window_starts(self)
+        if self.m is not None and starts is not None and self.m != len(starts):
+            raise ConfigError(f"{self.kind} instances have m={len(starts)}, got {self.m}")
         if self.kind == RANDOM_SCOPES and self.m is not None and self.m < 1:
             raise ConfigError("m must be positive")
         if self.codomain == CODOMAIN_FOUR_OPTIMA and self.k < 2:
@@ -340,15 +343,20 @@ def paper_example() -> AdfInstance:
     return AdfInstance(n=10, subfunctions=subs, name="paper-example")
 
 
+def _window_starts(spec: GeneratorSpec) -> range | None:
+    """Where the fixed layout's windows of k consecutive variables (wrapping) start."""
+    n, k = spec.n, spec.k
+    starts = {ADJACENT_CYCLIC: range(n), ADJACENT_ACYCLIC: range(n - k + 1),
+              SEPARABLE: range(0, n, k)}
+    return starts.get(spec.kind)
+
+
 def _scopes_for(spec: GeneratorSpec, rng: np.random.Generator | None) -> list[tuple[int, ...]]:
     """The scope layout of the spec's kind; only random scopes draw from rng."""
     n, k = spec.n, spec.k
-    if spec.kind == ADJACENT_CYCLIC:
-        return [tuple((i + d) % n for d in range(k)) for i in range(n)]
-    if spec.kind == ADJACENT_ACYCLIC:
-        return [tuple(range(i, i + k)) for i in range(n - k + 1)]
-    if spec.kind == SEPARABLE:
-        return [tuple(range(b * k, (b + 1) * k)) for b in range(n // k)]
+    starts = _window_starts(spec)
+    if starts is not None:
+        return [tuple((i + d) % n for d in range(k)) for i in starts]
     m = spec.m if spec.m is not None else n
     return [tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False))) for _ in range(m)]
 

@@ -167,9 +167,9 @@ def _factorization_for(args, instance: adf.AdfInstance) -> graphs.Factorization:
 
 def cmd_fda(args) -> int:
     # Both are built so that each flag is checked whichever method runs.
-    truncation = fda_mod.TruncationSelection(tau=args.tau)
-    boltzmann = fda_mod.BoltzmannSelection(beta=args.selection_beta)
-    selection = truncation if args.selection == "truncation" else boltzmann
+    selections = (fda_mod.TruncationSelection(tau=args.tau),
+                  fda_mod.BoltzmannSelection(beta=args.selection_beta))
+    selection = next(s for s in selections if s.method == args.selection)
     instance = _load_instance(args.instance)
     factorization = _factorization_for(args, instance)
     config = fda_mod.FdaConfig(
@@ -242,6 +242,8 @@ def cmd_replicate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Library flags read the library's choices and defaults (a field's class attribute).
+    spec, config, policy = adf.GeneratorSpec, fda_mod.FdaConfig, climb_mod.ClimbPolicy
     parser = argparse.ArgumentParser(
         prog="graybox",
         description="Gray-box analysis and optimization of k-bounded additive functions.",
@@ -252,13 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-example", action="store_true",
                    help="emit the bundled ten-variable worked example")
     p.add_argument("--kind", choices=adf.KINDS)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--codomain", choices=[adf.CODOMAIN_UNIFORM, adf.CODOMAIN_FOUR_OPTIMA],
-                   default=adf.CODOMAIN_UNIFORM)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--codomain-seed", type=int, default=None)
+    p.add_argument("--n", type=int, default=spec.n)
+    p.add_argument("--k", type=int, default=spec.k)
+    p.add_argument("--m", type=int, default=spec.m)
+    p.add_argument("--codomain", choices=adf.CODOMAINS, default=spec.codomain)
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--codomain-seed", type=int, default=spec.codomain_seed)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
@@ -271,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--triangulate", action="store_true")
     what.add_argument("--junction-tree", action="store_true")
     what.add_argument("--treewidth", action="store_true")
-    p.add_argument("--heuristic", choices=[graphs.MIN_FILL, graphs.MIN_DEGREE],
-                   default=graphs.MIN_FILL)
+    p.add_argument("--heuristic", choices=graphs.HEURISTICS, default=graphs.MIN_FILL)
     p.add_argument("--elimination-order",
                    help="comma-separated vertex order overriding --heuristic")
     p.add_argument("--format", choices=["dot", "json"], default=None)
@@ -288,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "one before its first scope variable, wrapping cyclically")
         src.add_argument("--jt-factors", action="store_true",
                          help="min-fill junction-tree cliques")
-        p.add_argument("--stat", choices=[marginals.STAT_SUM, marginals.STAT_MEAN,
-                                          marginals.STAT_BOLTZMANN], default=marginals.STAT_SUM)
+        p.add_argument("--stat", choices=marginals.STATS, default=marginals.STAT_SUM)
         p.add_argument("--beta", type=float, default=None)
 
     p = sub.add_parser("marginals", help="exhaustive marginal tables")
@@ -311,18 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="derive the factorization from the min-fill junction tree")
     src.add_argument("--univariate", action="store_true")
     src.add_argument("--factor-file", help="factorization JSON file")
-    p.add_argument("--heuristic", choices=[graphs.MIN_FILL, graphs.MIN_DEGREE],
-                   default=graphs.MIN_FILL)
+    p.add_argument("--heuristic", choices=graphs.HEURISTICS, default=graphs.MIN_FILL)
     p.add_argument("--root", type=int, default=0, help="root clique id for --jt")
-    p.add_argument("--pop-size", type=int, default=500)
-    p.add_argument("--selection", choices=["truncation", "boltzmann"], default="truncation")
-    p.add_argument("--tau", type=float, default=0.3)
-    p.add_argument("--selection-beta", type=float, default=1.0)
-    p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--max-gens", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--elitism", type=int, default=1)
-    p.add_argument("--target", type=float, default=None)
+    p.add_argument("--pop-size", type=int, default=config.population_size)
+    p.add_argument("--selection", choices=fda_mod.SELECTIONS, default=config().selection.method)
+    p.add_argument("--tau", type=float, default=fda_mod.TruncationSelection.tau)
+    p.add_argument("--selection-beta", type=float, default=fda_mod.BoltzmannSelection.beta)
+    p.add_argument("--smoothing", type=float, default=config.smoothing)
+    p.add_argument("--max-gens", type=int, default=config.max_generations)
+    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument("--elitism", type=int, default=config.elitism)
+    p.add_argument("--target", type=float, default=config.target_fitness)
     p.add_argument("--history", help="write per-generation history as JSON lines")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fda)
@@ -332,11 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--start", help="start solution as a 0/1 string")
     src.add_argument("--starts", type=int, default=1, help="number of random starts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pivot", choices=[climb_mod.PIVOT_BEST, climb_mod.PIVOT_FIRST],
-                   default=climb_mod.PIVOT_BEST)
+    p.add_argument("--seed", type=int, default=policy.seed)
+    p.add_argument("--pivot", choices=climb_mod.PIVOTS, default=policy.pivot)
     p.add_argument("--pair-moves", action="store_true")
-    p.add_argument("--max-moves", type=int, default=None)
+    p.add_argument("--max-moves", type=int, default=policy.max_moves)
     p.add_argument("--trace", help="write per-move trace as JSON lines")
     p.add_argument("--out")
     p.set_defaults(func=cmd_climb)

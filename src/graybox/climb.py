@@ -22,6 +22,7 @@ from .graphs import _require_structure, build_vig  # build_vig: wrapped by the b
 
 PIVOT_BEST = "best"
 PIVOT_FIRST = "first"
+PIVOTS = (PIVOT_BEST, PIVOT_FIRST)
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class ClimbPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pivot not in (PIVOT_BEST, PIVOT_FIRST):
+        if self.pivot not in PIVOTS:
             raise ConfigError(f"unknown pivot rule {self.pivot!r}")
         if self.max_moves is not None and self.max_moves < 0:
             raise ConfigError(f"max moves must be nonnegative, got {self.max_moves}")

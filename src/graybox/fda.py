@@ -9,7 +9,9 @@ generator, so a run is reproducible from its config.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,25 +21,12 @@ from .errors import ConfigError, StructuralError
 from .graphs import Factorization
 from .marginals import boltzmann_weights
 
-__all__ = [
-    "TruncationSelection",
-    "BoltzmannSelection",
-    "FdaConfig",
-    "GenerationStats",
-    "FdaResult",
-    "select",
-    "estimate",
-    "sample",
-    "model_entropy",
-    "run_fda",
-    "result_to_json",
-]
-
 
 @dataclass(frozen=True)
 class TruncationSelection:
     """Keep the ceil(tau * N) best solutions, ties broken by stable order."""
 
+    method: ClassVar[str] = "truncation"
     tau: float = 0.3
 
     def __post_init__(self):
@@ -49,6 +38,7 @@ class TruncationSelection:
 class BoltzmannSelection:
     """Resample N solutions with probability proportional to exp(beta * fitness)."""
 
+    method: ClassVar[str] = "boltzmann"
     beta: float = 1.0
 
     def __post_init__(self):
@@ -57,6 +47,7 @@ class BoltzmannSelection:
 
 
 SelectionMethod = TruncationSelection | BoltzmannSelection
+SELECTIONS = (TruncationSelection.method, BoltzmannSelection.method)
 
 
 @dataclass(frozen=True)
@@ -256,6 +247,8 @@ def run_fda(instance: AdfInstance, factorization: Factorization, config: FdaConf
         )
     rng = np.random.default_rng(config.seed)
     n, size = instance.n, config.population_size
+    if size * n > sys.maxsize:  # a uint8 matrix NumPy cannot size
+        raise MemoryError(f"a population of {size} x {n} bits needs {size * n} bytes")
     bits = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
     fitness = instance.evaluate_batch(bits)
 
@@ -300,10 +293,7 @@ def run_fda(instance: AdfInstance, factorization: Factorization, config: FdaConf
 
 def result_to_json(result: FdaResult) -> dict:
     cfg = result.config
-    if isinstance(cfg.selection, TruncationSelection):
-        selection = {"method": "truncation", "tau": cfg.selection.tau}
-    else:
-        selection = {"method": "boltzmann", "beta": cfg.selection.beta}
+    selection = {"method": cfg.selection.method, **asdict(cfg.selection)}
     return {
         "best": bits_to_string(result.best_solution),
         "fitness": result.best_fitness,

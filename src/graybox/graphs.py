@@ -17,6 +17,7 @@ from .errors import StructuralError, VisibilityError
 
 MIN_FILL = "min-fill"
 MIN_DEGREE = "min-degree"
+HEURISTICS = (MIN_FILL, MIN_DEGREE)
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def triangulate(
     """
     if not isinstance(heuristic, str):
         heuristic = check_order(graph.n, heuristic)
-    elif heuristic not in (MIN_FILL, MIN_DEGREE):
+    elif heuristic not in HEURISTICS:
         raise StructuralError(f"unknown triangulation heuristic {heuristic!r}")
     order, fill, later = _eliminate(graph, heuristic)
     completion = ChordalCompletion(graph, frozenset(fill), order)

@@ -26,6 +26,7 @@ from .errors import StructuralError
 STAT_SUM = "sum"
 STAT_MEAN = "mean"
 STAT_BOLTZMANN = "boltzmann"
+STATS = (STAT_SUM, STAT_MEAN, STAT_BOLTZMANN)
 
 _CHUNK_BITS = 16
 
@@ -86,7 +87,7 @@ def enumerate_marginals(
     instance, else from one sweep over all solutions; the bits are the same.
     """
     check_width(instance.n, "exhaustive enumeration", "n")
-    if kind not in (STAT_SUM, STAT_MEAN, STAT_BOLTZMANN):
+    if kind not in STATS:
         raise StructuralError(f"unknown statistic kind {kind!r}")
     if kind == STAT_BOLTZMANN:
         check_beta(beta)

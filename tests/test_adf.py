@@ -217,11 +217,19 @@ class TestGenerate:
             dict(kind=ADJACENT_CYCLIC, n=2, k=5),
             dict(kind="no-such-kind", n=4, k=2),
             dict(kind="paper-example"),  # built by paper_example() alone
+            dict(kind=SEPARABLE, n=12, k=3, m=5),
+            dict(kind=RANDOM_SCOPES, n=12, k=3, m=0),
         ],
     )
     def test_inconsistent_specs(self, kwargs):
         with pytest.raises(ConfigError):
             GeneratorSpec(**kwargs)
+
+    @pytest.mark.parametrize("kind, m", [
+        (ADJACENT_CYCLIC, 12), (ADJACENT_ACYCLIC, 10), (SEPARABLE, 4),
+    ])
+    def test_fixed_layout_accepts_its_own_m(self, kind, m):
+        assert generate(GeneratorSpec(kind, n=12, k=3, m=m)).m == m
 
 
 class TestSerialization:

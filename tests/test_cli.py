@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import importlib.util
 import json
@@ -11,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graybox import adf, replicate
-from graybox.cli import main
+from graybox import adf, climb, fda, graphs, marginals, replicate
+from graybox.cli import build_parser, main
 from graybox.marginals import enumerate_marginal
 
 
@@ -91,6 +92,45 @@ class TestStrictJson:
         )
         assert code == 0
         strict_json(out)
+
+
+def test_library_flags_read_the_library():
+    """A flag that sets a library parameter offers the library's own choice
+    tuple and defaults to the library's own field default."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def flag(command, dest):
+        return next(a for a in commands[command]._actions if a.dest == dest)
+
+    for command, dest, choices in [
+        ("gen", "kind", adf.KINDS),
+        ("gen", "codomain", adf.CODOMAINS),
+        ("analyze", "heuristic", graphs.HEURISTICS),
+        ("marginals", "stat", marginals.STATS),
+        ("deception", "stat", marginals.STATS),
+        ("fda", "heuristic", graphs.HEURISTICS),
+        ("fda", "selection", fda.SELECTIONS),
+        ("climb", "pivot", climb.PIVOTS),
+    ]:
+        assert flag(command, dest).choices is choices, (command, dest)
+
+    for command, dest, cls, name in [
+        *(("gen", f, adf.GeneratorSpec, f) for f in ("n", "k", "m", "codomain", "seed",
+                                                     "codomain_seed")),
+        ("fda", "pop_size", fda.FdaConfig, "population_size"),
+        ("fda", "smoothing", fda.FdaConfig, "smoothing"),
+        ("fda", "max_gens", fda.FdaConfig, "max_generations"),
+        ("fda", "seed", fda.FdaConfig, "seed"),
+        ("fda", "elitism", fda.FdaConfig, "elitism"),
+        ("fda", "target", fda.FdaConfig, "target_fitness"),
+        ("fda", "tau", fda.TruncationSelection, "tau"),
+        ("fda", "selection_beta", fda.BoltzmannSelection, "beta"),
+        *(("climb", f, climb.ClimbPolicy, f) for f in ("seed", "pivot", "max_moves")),
+    ]:
+        field = next(f for f in dataclasses.fields(cls) if f.name == name)
+        assert flag(command, dest).default == field.default, (command, dest)
+    assert flag("fda", "selection").default == fda.FdaConfig().selection.method
 
 
 class TestGen:
@@ -552,6 +592,26 @@ class TestBadInput:
         monkeypatch.setenv("GRAYBOX_MAX_ENUM_VARS", "5")
         err = self.assert_error(capsys, 1, ["gen", "--kind", "separable", "--n", "6", "--k", "6"])
         assert err == "error: codomains of 2^k values refused: k=6 exceeds limit 5\n"
+
+    # Sizes NumPy cannot address ended in its ValueError or OverflowError
+    # traceback. Each is refused before anything of that size is allocated.
+    @pytest.mark.parametrize("argv, code, message", [
+        (("climb", "HUGE"), 1,
+         f"n={10**20} exceeds the largest supported n, {sys.maxsize}"),
+        (("gen", "--kind", "random-scopes", "--n", str(10**19), "--k", "2", "--m", "1"), 2,
+         f"n={10**19} exceeds the largest supported n, {sys.maxsize}"),
+        (("fda", "PAPER", "--jt", "--pop-size", str(10**18)), 1,
+         f"out of memory: a population of {10**18} x 10 bits needs {10**19} bytes"),
+        (("fda", "PAPER", "--jt", "--pop-size", str(10**19)), 1,
+         f"out of memory: a population of {10**19} x 10 bits needs {10**20} bytes"),
+    ], ids=["climb-n", "gen-n", "fda-pop-size-1e18", "fda-pop-size-1e19"])
+    def test_size_numpy_cannot_address(self, capsys, paper_file, tmp_path, argv, code,
+                                       message):
+        huge = tmp_path / "huge.adf"
+        huge.write_text(f"adf {10**20} 1\nsub 1 0 0 1\n")
+        argv = [{"PAPER": paper_file, "HUGE": str(huge)}.get(a, a) for a in argv]
+        err = self.assert_error(capsys, code, argv)
+        assert err == f"error: {message}\n"
 
     # NumPy names the allocation; Python's own allocations raise an empty
     # MemoryError, which must not leave a dangling colon.
